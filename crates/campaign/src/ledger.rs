@@ -17,8 +17,7 @@
 use crate::executor::{JobResult, Rollup};
 use crate::spec::{parse_tolerances, Expectation, Tolerances};
 use ccsim_core::BottleneckMetrics;
-use ccsim_fault::json::{escape, Json, JsonError};
-use ccsim_sim::jsonfmt::{json_f64, json_opt_f64};
+use ccsim_sim::json::{escape, json_f64, json_opt_f64, Json, JsonError};
 use ccsim_telemetry::RunManifest;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
@@ -297,9 +296,8 @@ impl LedgerEntry {
             _ => None,
         };
         let manifest = match v.get("manifest") {
-            // The manifest parser is substring-based; re-render the node.
             Some(m) if !m.is_null() => Some(
-                RunManifest::from_json(&m.render())
+                RunManifest::from_value(m)
                     .map_err(|e| bad(format!("bad embedded manifest: {e}")))?,
             ),
             _ => None,

@@ -7,8 +7,8 @@
 //! 3-value RTT axis, a 2-value CCA axis, and 2 seeds yields 12 jobs, each
 //! a fully validated [`Scenario`] with a stable, human-readable name.
 //!
-//! Specs are JSON documents (hand-rolled on both sides, like every wire
-//! format in the workspace — the vendored serde has no serializer) and
+//! Specs are JSON documents (hand-rolled on both sides against
+//! `ccsim_sim::json`, like every wire format in the workspace) and
 //! round-trip exactly: [`CampaignSpec::to_json`] → [`CampaignSpec::from_json`]
 //! reproduces every field, including the embedded base scenario via
 //! `ccsim_core::codec`. For hand-written specs the `base` object also
@@ -16,10 +16,9 @@
 //! see [`CampaignSpec::from_json`].
 
 use ccsim_cca::CcaKind;
-use ccsim_core::{scenario_from_json, scenario_to_json, FlowGroup, Scenario};
-use ccsim_fault::json::{escape, Json, JsonError};
+use ccsim_core::{scenario_from_value, scenario_to_json, FlowGroup, Scenario};
 use ccsim_net::AqmKind;
-use ccsim_sim::jsonfmt::{json_f64, json_opt_f64};
+use ccsim_sim::json::{escape, json_f64, json_opt_f64, Json, JsonError};
 use ccsim_sim::{Bandwidth, SimDuration};
 use ccsim_topo::TopologyKind;
 use std::fmt::Write as _;
@@ -98,15 +97,16 @@ impl AxisParam {
                 let ms: u64 = value
                     .parse()
                     .map_err(|_| bad(format!("axis rtt_ms: bad value \"{value}\"")))?;
+                let rtt = millis(ms, "axis rtt_ms")?;
                 for g in &mut scenario.flows {
-                    g.base_rtt = SimDuration::from_millis(ms);
+                    g.base_rtt = rtt;
                 }
             }
             AxisParam::BwMbps => {
                 let mbps: u64 = value
                     .parse()
                     .map_err(|_| bad(format!("axis bw_mbps: bad value \"{value}\"")))?;
-                scenario.bottleneck = Bandwidth::from_mbps(mbps);
+                scenario.bottleneck = megabits(mbps, "axis bw_mbps")?;
             }
             AxisParam::BufferBytes => {
                 scenario.buffer_bytes = value
@@ -220,6 +220,36 @@ fn bad(message: impl Into<String>) -> JsonError {
     JsonError {
         offset: 0,
         message: message.into(),
+    }
+}
+
+/// `ms` milliseconds, or an error when that overflows the nanosecond clock.
+fn millis(ms: u64, what: &str) -> Result<SimDuration, JsonError> {
+    ms.checked_mul(1_000_000)
+        .map(SimDuration::from_nanos)
+        .ok_or_else(|| bad(format!("{what}: {ms} ms overflows the clock")))
+}
+
+/// `mbps` megabits per second, or an error when that overflows bits/s.
+fn megabits(mbps: u64, what: &str) -> Result<Bandwidth, JsonError> {
+    mbps.checked_mul(1_000_000)
+        .map(Bandwidth::from_bps)
+        .ok_or_else(|| bad(format!("{what}: {mbps} Mbps overflows bits/s")))
+}
+
+fn to_u32(n: u64, what: &str) -> Result<u32, JsonError> {
+    u32::try_from(n).map_err(|_| bad(format!("{what}: {n} exceeds u32")))
+}
+
+/// The optional duration `key` in fractional seconds: finite, non-negative
+/// and within the nanosecond clock, or an error.
+fn seconds(v: &Json, key: &str) -> Result<Option<SimDuration>, JsonError> {
+    match v.get(key).and_then(Json::as_f64) {
+        None => Ok(None),
+        Some(secs) if secs >= 0.0 && secs * 1e9 < u64::MAX as f64 => {
+            Ok(Some(SimDuration::from_secs_f64(secs)))
+        }
+        Some(secs) => Err(bad(format!("\"{key}\": {secs} s is not a valid duration"))),
     }
 }
 
@@ -353,7 +383,7 @@ impl CampaignSpec {
             .to_string();
         let base_json = doc.get("base").ok_or_else(|| bad("missing \"base\""))?;
         let base = if base_json.get("bottleneck_bps").is_some() {
-            scenario_from_json(&base_json.render())?
+            scenario_from_value(base_json)?
         } else {
             base_from_preset(base_json)?
         };
@@ -452,31 +482,31 @@ fn base_from_preset(v: &Json) -> Result<Scenario, JsonError> {
         });
     }
     if let Some(mbps) = v.get("bw_mbps").and_then(Json::as_u64) {
-        s.bottleneck = Bandwidth::from_mbps(mbps);
+        s.bottleneck = megabits(mbps, "bw_mbps")?;
     }
     if let Some(bytes) = v.get("buffer_bytes").and_then(Json::as_u64) {
         s.buffer_bytes = bytes;
     }
-    if let Some(secs) = v.get("warmup_s").and_then(Json::as_f64) {
-        s.warmup = SimDuration::from_secs_f64(secs);
+    if let Some(d) = seconds(v, "warmup_s")? {
+        s.warmup = d;
     }
-    if let Some(secs) = v.get("duration_s").and_then(Json::as_f64) {
-        s.duration = SimDuration::from_secs_f64(secs);
+    if let Some(d) = seconds(v, "duration_s")? {
+        s.duration = d;
     }
-    if let Some(secs) = v.get("jitter_s").and_then(Json::as_f64) {
-        s.start_jitter = SimDuration::from_secs_f64(secs);
+    if let Some(d) = seconds(v, "jitter_s")? {
+        s.start_jitter = d;
     }
     if let Some(ms) = v.get("snapshot_ms").and_then(Json::as_u64) {
-        s.snapshot_interval = SimDuration::from_millis(ms);
+        s.snapshot_interval = millis(ms, "snapshot_ms")?;
     }
     if v.get("convergence").and_then(Json::as_bool) == Some(false) {
         s.convergence = None;
     }
     if let Some(n) = v.get("delack_segments").and_then(Json::as_u64) {
-        s.tuning.delack_segments = n as u32;
+        s.tuning.delack_segments = to_u32(n, "delack_segments")?;
     }
     if let Some(n) = v.get("tx_burst").and_then(Json::as_u64) {
-        s.tuning.tx_burst = n as u32;
+        s.tuning.tx_burst = to_u32(n, "tx_burst")?;
     }
     if let Some(name) = v.get("topology").and_then(Json::as_str) {
         s.topology =
@@ -500,12 +530,16 @@ fn base_from_preset(v: &Json) -> Result<Scenario, JsonError> {
             let count = g
                 .get("count")
                 .and_then(Json::as_u64)
-                .ok_or_else(|| bad("flow group missing \"count\""))? as u32;
+                .ok_or_else(|| bad("flow group missing \"count\""))?;
             let rtt_ms = g
                 .get("rtt_ms")
                 .and_then(Json::as_u64)
                 .ok_or_else(|| bad("flow group missing \"rtt_ms\""))?;
-            flows.push(FlowGroup::new(cca, count, SimDuration::from_millis(rtt_ms)));
+            flows.push(FlowGroup::new(
+                cca,
+                to_u32(count, "flow group count")?,
+                millis(rtt_ms, "flow group rtt_ms")?,
+            ));
         }
         s = s.flows(flows);
     }
@@ -673,6 +707,65 @@ mod tests {
         let err = spec.jobs().unwrap_err();
         assert!(err.message.contains("no flows"), "{err}");
         assert!(err.message.contains("flow_count=0"), "{err}");
+    }
+
+    /// A preset spec whose base carries `field` (raw JSON) on top of one
+    /// valid flow group.
+    fn preset_spec(field: &str) -> String {
+        format!(
+            r#"{{"name": "t", "base": {{"preset": "edge", "fidelity": "quick",
+                "flows": [{{"cca": "reno", "count": 2, "rtt_ms": 20}}], {field}}}}}"#
+        )
+    }
+
+    fn decode_error(field: &str) -> String {
+        match CampaignSpec::from_json(&preset_spec(field)).and_then(|s| s.jobs()) {
+            Ok(_) => panic!("{field} was accepted"),
+            Err(e) => e.message,
+        }
+    }
+
+    #[test]
+    fn negative_jitter_is_a_typed_error() {
+        assert!(decode_error(r#""jitter_s": -1.0"#).contains("jitter_s"));
+    }
+
+    #[test]
+    fn snapshot_interval_overflow_is_a_typed_error() {
+        let err = decode_error(r#""snapshot_ms": 18446744073709551615"#);
+        assert!(err.contains("snapshot_ms"), "{err}");
+    }
+
+    #[test]
+    fn unrepresentable_warmup_is_a_typed_error() {
+        assert!(decode_error(r#""warmup_s": 1e300"#).contains("warmup_s"));
+        // Each half fits the clock, but the horizon does not.
+        let err = decode_error(r#""warmup_s": 1e10, "duration_s": 1e10"#);
+        assert!(err.contains("overflows the simulation clock"), "{err}");
+    }
+
+    #[test]
+    fn flow_counts_past_u32_are_typed_errors_not_truncations() {
+        let doc =
+            preset_spec(r#""convergence": false"#).replace("\"count\": 2", "\"count\": 4294967297");
+        let err = CampaignSpec::from_json(&doc).unwrap_err();
+        assert!(err.message.contains("count"), "{err}");
+        for knob in ["delack_segments", "tx_burst"] {
+            let err = decode_error(&format!(r#""{knob}": 4294967297"#));
+            assert!(err.contains(knob), "{err}");
+        }
+    }
+
+    #[test]
+    fn overflowing_axis_values_are_typed_errors() {
+        let mut spec = sample_spec();
+        spec.axes = vec![Axis {
+            param: AxisParam::BwMbps,
+            values: vec!["18446744073709551615".into()],
+        }];
+        assert!(spec.jobs().unwrap_err().message.contains("bw_mbps"));
+        spec.axes[0].param = AxisParam::RttMs;
+        assert!(spec.jobs().unwrap_err().message.contains("rtt_ms"));
     }
 
     #[test]

@@ -1,19 +1,17 @@
 //! Scenario serialization: a hand-rolled, dependency-free JSON codec.
 //!
 //! Crash bundles must embed the *complete* scenario so a run can be
-//! replayed from the bundle alone (`ccsim replay`). The vendored serde
-//! provides only marker traits, so — like the telemetry manifests and the
-//! fault plans — the scenario document is written by hand and read back
-//! with [`ccsim_fault::json`]'s recursive-descent parser. Numbers are
+//! replayed from the bundle alone (`ccsim replay`). Like every wire format
+//! in the workspace, the scenario document is written by hand and read
+//! back with [`ccsim_sim::json`]'s recursive-descent parser. Numbers are
 //! emitted in their exact integer form (nanoseconds, bits/sec, bytes), so
 //! a decode–encode cycle is byte-identical and a replayed scenario is
 //! bit-for-bit the one that crashed.
 
 use crate::scenario::{ConvergenceRule, FlowGroup, Scenario, Tuning};
-use ccsim_fault::json::{escape, Json, JsonError};
 use ccsim_fault::{FaultPlan, WatchdogConfig};
 use ccsim_net::AqmKind;
-use ccsim_sim::jsonfmt::json_f64;
+use ccsim_sim::json::{escape, json_f64, Json, JsonError};
 use ccsim_sim::{Bandwidth, SimDuration};
 use ccsim_topo::TopologyKind;
 use ccsim_trace::{RetentionPolicy, TraceConfig};
@@ -153,8 +151,11 @@ fn parse_policy(text: &str) -> Result<RetentionPolicy, JsonError> {
 
 /// Parse a document produced by [`scenario_to_json`].
 pub fn scenario_from_json(text: &str) -> Result<Scenario, JsonError> {
-    let doc = Json::parse(text)?;
+    scenario_from_value(&Json::parse(text)?)
+}
 
+/// Decode a parsed scenario document (see [`scenario_from_json`]).
+pub fn scenario_from_value(doc: &Json) -> Result<Scenario, JsonError> {
     let flows_json = doc
         .get("flows")
         .and_then(Json::as_arr)
@@ -231,16 +232,16 @@ pub fn scenario_from_json(text: &str) -> Result<Scenario, JsonError> {
     };
 
     Ok(Scenario {
-        name: get_str(&doc, "name")?.to_string(),
-        bottleneck: Bandwidth::from_bps(get_u64(&doc, "bottleneck_bps")?),
-        buffer_bytes: get_u64(&doc, "buffer_bytes")?,
-        mss: get_u32(&doc, "mss")?,
+        name: get_str(doc, "name")?.to_string(),
+        bottleneck: Bandwidth::from_bps(get_u64(doc, "bottleneck_bps")?),
+        buffer_bytes: get_u64(doc, "buffer_bytes")?,
+        mss: get_u32(doc, "mss")?,
         flows,
-        seed: get_u64(&doc, "seed")?,
-        start_jitter: get_duration(&doc, "start_jitter_ns")?,
-        warmup: get_duration(&doc, "warmup_ns")?,
-        duration: get_duration(&doc, "duration_ns")?,
-        snapshot_interval: get_duration(&doc, "snapshot_interval_ns")?,
+        seed: get_u64(doc, "seed")?,
+        start_jitter: get_duration(doc, "start_jitter_ns")?,
+        warmup: get_duration(doc, "warmup_ns")?,
+        duration: get_duration(doc, "duration_ns")?,
+        snapshot_interval: get_duration(doc, "snapshot_interval_ns")?,
         convergence,
         trace,
         fault,

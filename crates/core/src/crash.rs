@@ -25,7 +25,7 @@ use crate::observe::scenario_digest;
 use crate::outcome::RunOutcome;
 use crate::runner::{try_run_with_progress, Progress};
 use crate::scenario::Scenario;
-use ccsim_fault::json::{escape, Json, JsonError};
+use ccsim_sim::json::{escape, Json, JsonError};
 use ccsim_sim::SimTime;
 use std::fmt;
 use std::fmt::Write as _;

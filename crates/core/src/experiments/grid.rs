@@ -2,11 +2,10 @@
 
 use crate::scenario::{Fidelity, Scenario};
 use ccsim_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Parameters shared by every experiment: which flow counts and RTTs to
 /// sweep, at what fidelity, and under which seed.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentConfig {
     /// CoreScale flow counts (paper: 1000, 3000, 5000).
     pub core_counts: Vec<u32>,

@@ -11,10 +11,9 @@ use crate::report::render_table;
 use crate::scenario::{FlowGroup, Scenario};
 use ccsim_cca::CcaKind;
 use ccsim_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// One equal-split inter-CCA cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InterRow {
     /// "EdgeScale" or "CoreScale".
     pub setting: String,

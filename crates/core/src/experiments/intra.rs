@@ -13,10 +13,9 @@ use crate::report::render_table;
 use crate::scenario::{FlowGroup, Scenario};
 use ccsim_cca::CcaKind;
 use ccsim_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// One intra-CCA fairness cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IntraRow {
     /// "EdgeScale" or "CoreScale".
     pub setting: String,

@@ -19,10 +19,9 @@ use crate::scenario::{FlowGroup, Scenario};
 use ccsim_analysis::mathis::fit_constant;
 use ccsim_cca::CcaKind;
 use ccsim_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// One (setting, flow-count) cell of the Mathis grid.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MathisRow {
     /// "EdgeScale" or "CoreScale".
     pub setting: String,

@@ -10,10 +10,9 @@ use crate::report::render_table;
 use crate::scenario::{FlowGroup, Scenario};
 use ccsim_cca::CcaKind;
 use ccsim_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// One single-BBR cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SingleBbrRow {
     /// "EdgeScale" or "CoreScale".
     pub setting: String,

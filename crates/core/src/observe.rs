@@ -41,7 +41,7 @@ use crate::scenario::Scenario;
 use ccsim_net::link::LinkMetrics;
 use ccsim_net::msg::Msg;
 use ccsim_resume::Checkpoint;
-use ccsim_sim::jsonfmt::safe_rate;
+use ccsim_sim::json::safe_rate;
 use ccsim_sim::SimTime;
 use ccsim_tcp::sender::SenderMetrics;
 use ccsim_telemetry::manifest::{fnv1a_64, ManifestBottleneck, ManifestTimeline, RunManifest};

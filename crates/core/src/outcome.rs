@@ -6,12 +6,11 @@ use ccsim_cca::CcaKind;
 use ccsim_sim::{Bandwidth, SimDuration, SimTime};
 use ccsim_telemetry::FlowMetrics;
 use ccsim_trace::RunTrace;
-use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::{Path, PathBuf};
 
 /// Which interpretation of the Mathis `p` parameter to evaluate (§4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PInterpretation {
     /// `p` = packet loss rate measured at the bottleneck queue.
     PacketLoss,
@@ -21,7 +20,7 @@ pub enum PInterpretation {
 
 /// Window-scoped measurements for one bottleneck link of a multi-hop
 /// topology (or a single link running a non-default AQM/ECN config).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BottleneckMetrics {
     /// Link index in the scenario's topology description.
     pub link: u32,
@@ -46,7 +45,7 @@ pub struct BottleneckMetrics {
 /// `Debug` representation: `bottlenecks` is printed **only when
 /// non-empty**, so outcomes of configurations that predate the topology
 /// subsystem keep their exact historical digests.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct RunOutcome {
     /// Scenario label.
     pub scenario: String,
@@ -222,8 +221,8 @@ impl RunOutcome {
         ccsim_analysis::burstiness(&times)
     }
 
-    /// Canonical single-line JSON export (hand-rolled: the vendored serde
-    /// provides derives but no serializer). This is what `ccsim --json`
+    /// Canonical single-line JSON export (hand-rolled against
+    /// `ccsim_sim::json`). This is what `ccsim --json`
     /// prints and what CI smoke checks parse.
     pub fn to_json(&self) -> String {
         let per_flow: Vec<String> = self

@@ -28,14 +28,13 @@ use ccsim_net::AqmKind;
 use ccsim_sim::{Bandwidth, SimDuration, SimTime};
 use ccsim_topo::{Topology, TopologyError, TopologyKind};
 use ccsim_trace::TraceConfig;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The paper's fixed MSS.
 pub const DEFAULT_MSS: u32 = ccsim_net::DEFAULT_MSS;
 
 /// A group of identical flows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowGroup {
     /// Congestion control algorithm.
     pub cca: CcaKind,
@@ -59,7 +58,7 @@ impl FlowGroup {
 /// The paper's stopping rule: stop early once the headline metrics change
 /// by less than `tolerance` between consecutive windows of
 /// `window_snapshots` snapshots.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvergenceRule {
     /// Window length, in snapshots.
     pub window_snapshots: usize,
@@ -74,7 +73,7 @@ pub struct ConvergenceRule {
 /// config digest, printed in `Debug` only when non-default) rather than
 /// being ambient engine settings. The defaults reproduce the legacy
 /// per-segment behavior byte-for-byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tuning {
     /// Receiver ACK decimation: one ACK per this many full-size segments
     /// (RFC 5681 delayed ACK, generalized). The legacy value is 2.
@@ -103,7 +102,7 @@ impl Tuning {
 }
 
 /// Time-parameter presets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fidelity {
     /// Fast CI-friendly runs (seconds of simulated time).
     Quick,
@@ -120,7 +119,7 @@ pub enum Fidelity {
 /// `config_digest` hashes the `Debug` representation: the topology / AQM /
 /// ECN fields are printed **only when non-default**, so every scenario
 /// that predates them keeps its exact historical digest.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Scenario {
     /// Human-readable label used in reports.
     pub name: String,
@@ -207,6 +206,10 @@ impl fmt::Debug for Scenario {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioError {
     NoFlows,
+    /// The flow groups' counts sum past `u32::MAX`.
+    TooManyFlows,
+    /// `warmup + duration` does not fit the simulation clock.
+    HorizonOverflow,
     ZeroBandwidth,
     ZeroMss,
     /// `warmup < start_jitter`: flows could start inside the measurement
@@ -227,6 +230,10 @@ impl fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ScenarioError::NoFlows => f.write_str("scenario has no flows"),
+            ScenarioError::TooManyFlows => f.write_str("flow count exceeds u32"),
+            ScenarioError::HorizonOverflow => {
+                f.write_str("warm-up plus duration overflows the simulation clock")
+            }
             ScenarioError::ZeroBandwidth => f.write_str("zero bottleneck bandwidth"),
             ScenarioError::ZeroMss => f.write_str("zero MSS"),
             ScenarioError::JitterExceedsWarmup => {
@@ -476,7 +483,12 @@ impl Scenario {
 
     /// Validate internal consistency, returning a structured error.
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        if self.flow_count() == 0 {
+        let flows = self
+            .flows
+            .iter()
+            .try_fold(0u32, |n, g| n.checked_add(g.count))
+            .ok_or(ScenarioError::TooManyFlows)?;
+        if flows == 0 {
             return Err(ScenarioError::NoFlows);
         }
         if self.bottleneck.as_bps() == 0 {
@@ -501,6 +513,14 @@ impl Scenario {
         }
         if self.tuning.delack_segments == 0 || self.tuning.tx_burst == 0 {
             return Err(ScenarioError::BadTuning);
+        }
+        if self
+            .warmup
+            .as_nanos()
+            .checked_add(self.duration.as_nanos())
+            .is_none()
+        {
+            return Err(ScenarioError::HorizonOverflow);
         }
         self.fault.validate(self.horizon_end())?;
         self.topology_description().validate()?;
@@ -568,6 +588,17 @@ mod tests {
         let err = Scenario::edge_scale().validate().unwrap_err();
         assert_eq!(err, ScenarioError::NoFlows);
         assert_eq!(err.to_string(), "scenario has no flows");
+    }
+
+    #[test]
+    fn overflowing_flow_counts_and_horizons_are_typed_errors() {
+        let group = |count| FlowGroup::new(CcaKind::Reno, count, SimDuration::from_millis(20));
+        let s = Scenario::edge_scale().flows(vec![group(u32::MAX), group(2)]);
+        assert_eq!(s.validate(), Err(ScenarioError::TooManyFlows));
+        let s = Scenario::edge_scale()
+            .flows(vec![group(1)])
+            .horizon(SimDuration::MAX, SimDuration::from_secs(1));
+        assert_eq!(s.validate(), Err(ScenarioError::HorizonOverflow));
     }
 
     #[test]

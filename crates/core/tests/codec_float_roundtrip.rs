@@ -1,5 +1,5 @@
 //! Codec-level float round-trip property: a scenario document written by
-//! `ccsim_core::codec` and read back through `ccsim_fault::json` must
+//! `ccsim_core::codec` and read back through `ccsim_sim::json` must
 //! preserve its one float field (the convergence tolerance) bit-for-bit —
 //! including -0.0, subnormals, and magnitudes whose positional expansion
 //! would be hundreds of digits — and a second encode must be

@@ -23,18 +23,11 @@
 //!   runtime invariant watchdog. The checks themselves live in
 //!   `ccsim-core` (they need the built network); this crate defines the
 //!   structured violations they report instead of `assert!`ing.
-//!
-//! The crate also hosts [`json`], a minimal recursive-descent JSON parser:
-//! the vendored serde stand-in has no deserializer (`vendor/README.md`),
-//! and crash-bundle replay needs to read back nested scenario/fault-plan
-//! documents that the flat field extractors in `ccsim-telemetry` cannot.
 
 pub mod injector;
-pub mod json;
 pub mod plan;
 pub mod watchdog;
 
 pub use injector::{AppliedChanges, DeliveryFate, DropReason, FaultStats, LinkFaultInjector};
-pub use json::{Json, JsonError};
 pub use plan::{FaultAction, FaultKind, FaultPlan, FaultPlanError, LossModel};
 pub use watchdog::{InvariantKind, InvariantViolation, WatchdogConfig, WatchdogReport};

@@ -5,13 +5,11 @@
 //! The JSON document is a single line of **integers only** (no floats),
 //! so it survives every serialization path in the workspace bit-exactly:
 //! the manifest's hand-rolled pretty printer, the ledger's JSONL
-//! inlining, and a parse → [`ccsim_fault::json::Json::render`] →
-//! re-parse round trip. Key names are globally unique across the run
-//! manifest (prefixed `prof_` / `wheel_` / `pool`) because the manifest
-//! parser extracts fields by first occurrence.
+//! inlining, and a parse → [`Json::render`] → re-parse round trip. Key
+//! names are prefixed `prof_` / `wheel_` / `pool` so they read
+//! unambiguously inside a run manifest.
 
-use ccsim_fault::json::Json;
-use ccsim_sim::jsonfmt::escape_into;
+use ccsim_sim::json::{escape_into, Json};
 use ccsim_sim::WheelStats;
 use std::fmt::Write as _;
 
@@ -145,7 +143,7 @@ impl Profile {
         self.events
             .per_kind_counts()
             .into_iter()
-            .map(|(k, n)| (k, ccsim_sim::jsonfmt::safe_rate(n as f64, secs)))
+            .map(|(k, n)| (k, ccsim_sim::json::safe_rate(n as f64, secs)))
             .collect()
     }
 
@@ -293,15 +291,29 @@ impl Profile {
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
+        let events = EventCells {
+            classes: strs(v, "prof_classes")?,
+            kinds: strs(v, "prof_kinds")?,
+            stride: u64f(v, "prof_stride")?,
+            counts: u64s(v, "prof_counts")?,
+            nanos: u64s(v, "prof_nanos")?,
+            samples: u64s(v, "prof_samples")?,
+        };
+        // Every cell accessor indexes `class * kinds + kind`.
+        let cells = events.classes.len().checked_mul(events.kinds.len());
+        for (key, len) in [
+            ("prof_counts", events.counts.len()),
+            ("prof_nanos", events.nanos.len()),
+            ("prof_samples", events.samples.len()),
+        ] {
+            if Some(len) != cells {
+                return Err(format!(
+                    "profile: {key} has {len} cells, not classes x kinds"
+                ));
+            }
+        }
         Ok(Profile {
-            events: EventCells {
-                classes: strs(v, "prof_classes")?,
-                kinds: strs(v, "prof_kinds")?,
-                stride: u64f(v, "prof_stride")?,
-                counts: u64s(v, "prof_counts")?,
-                nanos: u64s(v, "prof_nanos")?,
-                samples: u64s(v, "prof_samples")?,
-            },
+            events,
             wheel: WheelProfile {
                 level_high_water: u64s(v, "wheel_high_water")?,
                 cascades: u64f(v, "wheel_cascades")?,
@@ -313,7 +325,8 @@ impl Profile {
             },
             memory,
             dispatch_nanos: u64f(v, "dispatch_nanos")?,
-            flows: u64f(v, "prof_flows")? as u32,
+            flows: u32::try_from(u64f(v, "prof_flows")?)
+                .map_err(|_| "profile: prof_flows exceeds u32".to_string())?,
         })
     }
 
@@ -475,6 +488,20 @@ mod tests {
         // And through a parse → render → re-parse cycle (the ledger path).
         let rendered = Json::parse(&json).unwrap().render();
         assert_eq!(Profile::from_json(&rendered).unwrap(), p);
+    }
+
+    #[test]
+    fn cell_arrays_must_match_classes_times_kinds() {
+        let json = sample().to_json();
+        for (key, short) in [
+            ("\"prof_counts\":[100,", "\"prof_counts\":["),
+            ("\"prof_nanos\":[900,", "\"prof_nanos\":["),
+            ("\"prof_samples\":[9,", "\"prof_samples\":["),
+        ] {
+            assert!(json.contains(key), "{json}");
+            let err = Profile::from_json(&json.replacen(key, short, 1)).unwrap_err();
+            assert!(err.contains("classes x kinds"), "{err}");
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@
 
 pub mod engine;
 pub mod event;
-pub mod jsonfmt;
+pub mod json;
 pub mod pool;
 pub mod rate;
 pub mod rng;

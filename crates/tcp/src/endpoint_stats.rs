@@ -8,10 +8,9 @@
 
 use ccsim_sim::{SimTime, SnapError, SnapReader, SnapWriter};
 use ccsim_trace::BoundedLog;
-use serde::{Deserialize, Serialize};
 
 /// Sender-side counters.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SenderStats {
     /// Data segments transmitted (including retransmissions).
     pub data_pkts_sent: u64,
@@ -78,7 +77,7 @@ impl SenderStats {
 }
 
 /// Receiver-side counters.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ReceiverStats {
     /// Data segments received (any order, including duplicates).
     pub data_pkts_received: u64,

@@ -7,14 +7,13 @@
 //! from which configuration, how fast, and what it produced* — without
 //! re-opening multi-megabyte traces.
 //!
-//! The JSON is hand-rolled on both sides for the same reason the trace
-//! JSONL exporter is (`vendor/README.md`): the offline serde stand-in
-//! provides derive macros but no serializer. `f64` fields print with
-//! Rust's shortest-round-trip `Display` and parse back bit-exact, so
-//! [`RunManifest::to_json`] → [`RunManifest::from_json`] is lossless
+//! The JSON is hand-rolled against `ccsim_sim::json`: [`RunManifest::to_json`]
+//! writes it, [`RunManifest::from_value`] decodes a parsed document. `f64`
+//! fields print with the shortest-round-trip form and parse back
+//! bit-exact, so `to_json` → [`RunManifest::from_json`] is lossless
 //! (asserted in tests and in CI's self-observability smoke job).
 
-use ccsim_sim::jsonfmt::{escape_into, json_f64};
+use ccsim_sim::json::{escape_into, json_f64, Json};
 use std::io;
 
 /// 64-bit FNV-1a hash — the workspace's canonical digest for scenario
@@ -151,131 +150,50 @@ fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-fn field_raw<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = json.find(&pat)? + pat.len();
-    let rest = json[start..].trim_start();
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
+fn missing(key: &str) -> io::Error {
+    bad(format!("manifest missing/invalid \"{key}\""))
 }
 
-fn field_u64(json: &str, key: &str) -> io::Result<u64> {
-    field_raw(json, key)
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| bad(format!("manifest missing/invalid \"{key}\"")))
+fn u64_field(v: &Json, key: &str) -> io::Result<u64> {
+    v.get(key)
+        .and_then(Json::as_u64)
+        .ok_or_else(|| missing(key))
 }
 
-fn field_f64(json: &str, key: &str) -> io::Result<f64> {
-    field_raw(json, key)
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| bad(format!("manifest missing/invalid \"{key}\"")))
+fn u32_field(v: &Json, key: &str) -> io::Result<u32> {
+    u32::try_from(u64_field(v, key)?).map_err(|_| missing(key))
 }
 
-fn field_bool(json: &str, key: &str) -> io::Result<bool> {
-    match field_raw(json, key) {
-        Some("true") => Ok(true),
-        Some("false") => Ok(false),
-        _ => Err(bad(format!("manifest missing/invalid \"{key}\""))),
+fn f64_field(v: &Json, key: &str) -> io::Result<f64> {
+    v.get(key)
+        .and_then(Json::as_f64)
+        .ok_or_else(|| missing(key))
+}
+
+/// An optional float: absent or `null` is `None`.
+fn opt_f64_field(v: &Json, key: &str) -> io::Result<Option<f64>> {
+    match v.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(n) => n.as_f64().map(Some).ok_or_else(|| missing(key)),
     }
 }
 
-/// Extract the balanced `{...}` or `[...]` value for `key`, tolerating
-/// nested braces/brackets and quoted strings (with escapes). The scalar
-/// helpers above stop at the first `,`/`}`, which would truncate a nested
-/// section; every structured manifest field goes through this instead.
-fn field_section<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = json.find(&pat)? + pat.len();
-    let rest = json[start..].trim_start();
-    if !matches!(rest.chars().next(), Some('{' | '[')) {
-        return None;
-    }
-    let mut depth = 0usize;
-    let mut in_str = false;
-    let mut esc = false;
-    for (i, c) in rest.char_indices() {
-        if esc {
-            esc = false;
-            continue;
-        }
-        match c {
-            '\\' if in_str => esc = true,
-            '"' => in_str = !in_str,
-            '{' | '[' if !in_str => depth += 1,
-            '}' | ']' if !in_str => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&rest[..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
+fn str_field(v: &Json, key: &str) -> io::Result<String> {
+    v.get(key)
+        .and_then(Json::as_str)
+        .map(str::to_string)
+        .ok_or_else(|| missing(key))
 }
 
-/// Split a JSON array section into its top-level `{...}` object slices.
-fn section_objects(arr: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    let mut in_str = false;
-    let mut esc = false;
-    for (i, c) in arr.char_indices() {
-        if esc {
-            esc = false;
-            continue;
-        }
-        match c {
-            '\\' if in_str => esc = true,
-            '"' => in_str = !in_str,
-            '{' if !in_str => {
-                if depth == 0 {
-                    start = i;
-                }
-                depth += 1;
-            }
-            '}' if !in_str => {
-                depth -= 1;
-                if depth == 0 {
-                    out.push(&arr[start..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    out
+fn bool_field(v: &Json, key: &str) -> io::Result<bool> {
+    v.get(key)
+        .and_then(Json::as_bool)
+        .ok_or_else(|| missing(key))
 }
 
-fn field_str(json: &str, key: &str) -> io::Result<String> {
-    let pat = format!("\"{key}\":");
-    let start = json
-        .find(&pat)
-        .ok_or_else(|| bad(format!("manifest missing \"{key}\"")))?
-        + pat.len();
-    let rest = json[start..].trim_start();
-    let rest = rest
-        .strip_prefix('"')
-        .ok_or_else(|| bad(format!("\"{key}\" is not a string")))?;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Ok(out),
-            '\\' => match chars.next().ok_or_else(|| bad("truncated escape"))? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let v = u32::from_str_radix(&hex, 16).map_err(|_| bad("bad \\u escape"))?;
-                    out.push(char::from_u32(v).ok_or_else(|| bad("bad \\u escape"))?);
-                }
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-    Err(bad(format!("unterminated string for \"{key}\"")))
+/// A structured section: absent or `null` is `None`.
+fn section<'a>(v: &'a Json, key: &str) -> Option<&'a Json> {
+    v.get(key).filter(|s| !s.is_null())
 }
 
 impl RunManifest {
@@ -418,50 +336,87 @@ impl RunManifest {
         out
     }
 
-    /// Parse a manifest produced by [`RunManifest::to_json`] (scalar field
-    /// order is not required; unknown fields are ignored). The structured
-    /// sections added after the format's first release — `events_by_kind`,
-    /// `bottlenecks`, `profile`, and the `dispatch_secs` scalar — default
-    /// to empty/zero when absent, so legacy manifests still parse.
+    /// Parse a manifest produced by [`RunManifest::to_json`] or
+    /// [`RunManifest::to_json_inline`].
     pub fn from_json(json: &str) -> io::Result<RunManifest> {
-        let events_by_kind = match field_section(json, "events_by_kind") {
-            Some(sec) => parse_kind_counts(sec),
+        let doc = Json::parse(json).map_err(|e| bad(format!("manifest: {e}")))?;
+        RunManifest::from_value(&doc)
+    }
+
+    /// Decode a parsed manifest object (field order is not required;
+    /// unknown fields are ignored). The structured sections added after
+    /// the format's first release — `events_by_kind`, `bottlenecks`,
+    /// `profile`, `timeline`, and the `dispatch_secs` and
+    /// `checkpoint_bytes` scalars — default to empty/zero when absent, so
+    /// legacy manifests still parse.
+    pub fn from_value(v: &Json) -> io::Result<RunManifest> {
+        let events_by_kind = match section(v, "events_by_kind") {
+            Some(Json::Obj(fields)) => fields
+                .iter()
+                .map(|(kind, n)| Ok((kind.clone(), n.as_u64().ok_or_else(|| missing(kind))?)))
+                .collect::<io::Result<_>>()?,
+            Some(_) => return Err(missing("events_by_kind")),
             None => Vec::new(),
         };
-        let bottlenecks = match field_section(json, "bottlenecks") {
-            Some(sec) => parse_bottlenecks(sec)?,
+        let bottlenecks = match section(v, "bottlenecks") {
+            Some(list) => list
+                .as_arr()
+                .ok_or_else(|| missing("bottlenecks"))?
+                .iter()
+                .map(|b| {
+                    Ok(ManifestBottleneck {
+                        link: u32_field(b, "link")?,
+                        label: str_field(b, "label")?,
+                        utilization: f64_field(b, "utilization")?,
+                        jfi: opt_f64_field(b, "jfi")?,
+                        loss_rate: f64_field(b, "loss_rate")?,
+                        max_queue_bytes: u64_field(b, "max_queue_bytes")?,
+                        ce_marked_pkts: u64_field(b, "ce_marked")?,
+                    })
+                })
+                .collect::<io::Result<_>>()?,
             None => Vec::new(),
         };
-        let profile = match field_section(json, "profile") {
-            Some(sec) => Some(
-                ccsim_prof::Profile::from_json(sec)
+        let profile = match section(v, "profile") {
+            Some(p) => Some(
+                ccsim_prof::Profile::from_value(p)
                     .map_err(|e| bad(format!("bad embedded profile: {e}")))?,
             ),
             None => None,
         };
-        let timeline = match field_section(json, "timeline") {
-            Some(sec) => Some(parse_timeline(sec)?),
+        let timeline = match section(v, "timeline") {
+            Some(t) => Some(ManifestTimeline {
+                window_secs: f64_field(t, "window_secs")?,
+                rows: u64_field(t, "rows")?,
+                retained: u64_field(t, "retained")?,
+                evicted: u64_field(t, "evicted")?,
+                flows_sampled: u32_field(t, "flows_sampled")?,
+                series: u32_field(t, "series")?,
+                alpha: f64_field(t, "alpha")?,
+                time_to_alpha_fair: opt_f64_field(t, "time_to_alpha_fair")?,
+                final_jfi: opt_f64_field(t, "final_jfi")?,
+            }),
             None => None,
         };
         Ok(RunManifest {
-            scenario: field_str(json, "scenario")?,
-            seed: field_u64(json, "seed")?,
-            flows: field_u64(json, "flows")? as u32,
-            config_digest: field_str(json, "config_digest")?,
-            outcome_digest: field_str(json, "outcome_digest")?,
-            sim_secs: field_f64(json, "sim_secs")?,
-            wall_secs: field_f64(json, "wall_secs")?,
-            dispatch_secs: field_f64(json, "dispatch_secs").unwrap_or(0.0),
-            sim_wall_ratio: field_f64(json, "sim_wall_ratio")?,
-            events_processed: field_u64(json, "events_processed")?,
-            events_per_sec: field_f64(json, "events_per_sec")?,
-            peak_queue_bytes: field_u64(json, "peak_queue_bytes")?,
-            peak_pending_events: field_u64(json, "peak_pending_events")?,
-            trace_bytes: field_u64(json, "trace_bytes")?,
-            metric_bytes: field_u64(json, "metric_bytes")?,
-            metric_series: field_u64(json, "metric_series")?,
-            converged: field_bool(json, "converged")?,
-            checkpoint_bytes: field_u64(json, "checkpoint_bytes").unwrap_or(0),
+            scenario: str_field(v, "scenario")?,
+            seed: u64_field(v, "seed")?,
+            flows: u32_field(v, "flows")?,
+            config_digest: str_field(v, "config_digest")?,
+            outcome_digest: str_field(v, "outcome_digest")?,
+            sim_secs: f64_field(v, "sim_secs")?,
+            wall_secs: f64_field(v, "wall_secs")?,
+            dispatch_secs: f64_field(v, "dispatch_secs").unwrap_or(0.0),
+            sim_wall_ratio: f64_field(v, "sim_wall_ratio")?,
+            events_processed: u64_field(v, "events_processed")?,
+            events_per_sec: f64_field(v, "events_per_sec")?,
+            peak_queue_bytes: u64_field(v, "peak_queue_bytes")?,
+            peak_pending_events: u64_field(v, "peak_pending_events")?,
+            trace_bytes: u64_field(v, "trace_bytes")?,
+            metric_bytes: u64_field(v, "metric_bytes")?,
+            metric_series: u64_field(v, "metric_series")?,
+            converged: bool_field(v, "converged")?,
+            checkpoint_bytes: u64_field(v, "checkpoint_bytes").unwrap_or(0),
             events_by_kind,
             bottlenecks,
             profile,
@@ -479,74 +434,11 @@ impl RunManifest {
         self.events_by_kind
             .iter()
             .map(|(kind, count)| {
-                let eps = ccsim_sim::jsonfmt::safe_rate(*count as f64, self.dispatch_secs);
+                let eps = ccsim_sim::json::safe_rate(*count as f64, self.dispatch_secs);
                 (kind.clone(), eps)
             })
             .collect()
     }
-}
-
-/// Parse an `{"kind": count, ...}` section. Kind names come from the
-/// engine classifier's fixed table, so they never contain `,`/`:`.
-fn parse_kind_counts(sec: &str) -> Vec<(String, u64)> {
-    let inner = sec.trim().trim_start_matches('{').trim_end_matches('}');
-    let mut out = Vec::new();
-    for part in inner.split(',') {
-        let mut halves = part.splitn(2, ':');
-        let (Some(k), Some(v)) = (halves.next(), halves.next()) else {
-            continue;
-        };
-        let k = k.trim().trim_matches('"');
-        if let Ok(n) = v.trim().parse::<u64>() {
-            out.push((k.to_string(), n));
-        }
-    }
-    out
-}
-
-fn parse_timeline(sec: &str) -> io::Result<ManifestTimeline> {
-    let opt_f64 = |key: &str| -> io::Result<Option<f64>> {
-        match field_raw(sec, key) {
-            Some("null") | None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| bad(format!("timeline \"{key}\" is not a number"))),
-        }
-    };
-    Ok(ManifestTimeline {
-        window_secs: field_f64(sec, "window_secs")?,
-        rows: field_u64(sec, "rows")?,
-        retained: field_u64(sec, "retained")?,
-        evicted: field_u64(sec, "evicted")?,
-        flows_sampled: field_u64(sec, "flows_sampled")? as u32,
-        series: field_u64(sec, "series")? as u32,
-        alpha: field_f64(sec, "alpha")?,
-        time_to_alpha_fair: opt_f64("time_to_alpha_fair")?,
-        final_jfi: opt_f64("final_jfi")?,
-    })
-}
-
-fn parse_bottlenecks(sec: &str) -> io::Result<Vec<ManifestBottleneck>> {
-    let mut out = Vec::new();
-    for obj in section_objects(sec) {
-        out.push(ManifestBottleneck {
-            link: field_u64(obj, "link")? as u32,
-            label: field_str(obj, "label")?,
-            utilization: field_f64(obj, "utilization")?,
-            jfi: match field_raw(obj, "jfi") {
-                Some("null") | None => None,
-                Some(v) => Some(
-                    v.parse()
-                        .map_err(|_| bad("bottleneck \"jfi\" is not a number"))?,
-                ),
-            },
-            loss_rate: field_f64(obj, "loss_rate")?,
-            max_queue_bytes: field_u64(obj, "max_queue_bytes")?,
-            ce_marked_pkts: field_u64(obj, "ce_marked")?,
-        });
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -642,8 +534,8 @@ mod tests {
         let mut m = sample_full();
         m.dispatch_secs = 0.0;
         m.wall_secs = 0.0;
-        m.events_per_sec = ccsim_sim::jsonfmt::safe_rate(m.events_processed as f64, 0.0);
-        m.sim_wall_ratio = ccsim_sim::jsonfmt::safe_rate(m.sim_secs, 0.0);
+        m.events_per_sec = ccsim_sim::json::safe_rate(m.events_processed as f64, 0.0);
+        m.sim_wall_ratio = ccsim_sim::json::safe_rate(m.sim_secs, 0.0);
         assert_eq!(m.events_per_sec, 0.0);
         assert_eq!(m.sim_wall_ratio, 0.0);
         assert!(m.eps_by_kind().is_empty(), "no rate without a denominator");

@@ -1,13 +1,11 @@
 //! Per-flow measurement records.
 
-use serde::{Deserialize, Serialize};
-
 /// Everything the analysis needs to know about one flow after a run.
 ///
 /// Rates are computed over the measurement window (after warm-up
 /// exclusion), matching the paper's methodology of discarding the first
 /// minutes of each experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlowMetrics {
     /// Flow index.
     pub flow: u32,

@@ -3,7 +3,7 @@
 //! reader that round-trips the binary form.
 
 use crate::{Timeline, TimelineConfig};
-use ccsim_sim::jsonfmt::{escape, json_f64, json_opt_f64};
+use ccsim_sim::json::{escape, json_f64, json_opt_f64};
 use ccsim_sim::snap::{SnapError, SnapReader, SnapWriter};
 use ccsim_sim::SimDuration;
 

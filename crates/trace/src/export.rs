@@ -2,36 +2,21 @@
 //!
 //! The first line carries the run metadata; every following line is one
 //! record with kind-specific field names (`cwnd`, `ssthresh`, `bps`, …),
-//! so the file greps and `jq`s naturally. The format is hand-rolled on
-//! both sides: the offline serde stand-in (vendor/README.md) provides no
-//! serializer, and the schema is small and fixed. [`read_jsonl`] parses
-//! exactly what [`write_jsonl`] emits (strict field order is *not*
-//! required; unknown fields are ignored).
+//! so the file greps and `jq`s naturally. [`write_jsonl`] hand-rolls each
+//! line with `ccsim_sim::json`'s escaping; [`read_jsonl`] parses each line
+//! with [`Json::parse`] and reads back exactly what the writer emits
+//! (strict field order is *not* required; unknown fields are ignored).
 
 use crate::event::{CongestionKind, PhaseLabel, TraceKind, TraceRecord, QUEUE_FLOW};
 use crate::recorder::{RunTrace, TraceMeta};
+use ccsim_sim::json::{escape_into, Json};
 use ccsim_sim::{SimDuration, SimTime};
 use std::io::{self, BufRead, Write};
-
-/// Escape a string for a JSON literal (quotes, backslashes, control
-/// bytes — scenario names are the only free-form strings here).
-fn escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
 
 /// Write a trace as JSONL.
 pub fn write_jsonl<W: Write>(trace: &RunTrace, mut w: W) -> io::Result<()> {
     let mut name = String::new();
-    escape(&trace.meta.scenario, &mut name);
+    escape_into(&trace.meta.scenario, &mut name);
     writeln!(
         w,
         "{{\"meta\":{{\"scenario\":\"{}\",\"seed\":{},\"flows\":{},\"records\":{},\"evicted\":{},\"thinned\":{}}}}}",
@@ -117,102 +102,56 @@ fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Extract `"key":<number>` from a JSON line.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+fn parse_line(line: &str) -> io::Result<Json> {
+    Json::parse(line).map_err(|e| bad(e.to_string()))
 }
 
-/// Extract and unescape `"key":"<string>"` from a JSON line.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let mut out = String::new();
-    let mut chars = line[start..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let v = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(v)?);
-                }
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-    None
+fn field_u64(v: &Json, key: &str) -> io::Result<u64> {
+    v.get(key)
+        .and_then(Json::as_u64)
+        .ok_or_else(|| bad(format!("missing or non-integer \"{key}\"")))
+}
+
+fn field_u32(v: &Json, key: &str) -> io::Result<u32> {
+    u32::try_from(field_u64(v, key)?).map_err(|_| bad(format!("\"{key}\" exceeds u32")))
+}
+
+fn field_str<'a>(v: &'a Json, key: &str) -> io::Result<&'a str> {
+    v.get(key)
+        .and_then(Json::as_str)
+        .ok_or_else(|| bad(format!("missing or non-string \"{key}\"")))
 }
 
 /// Parse one record line (as produced by [`write_jsonl`]).
 fn parse_record(line: &str) -> io::Result<TraceRecord> {
-    let t = SimTime::from_nanos(field_u64(line, "t").ok_or_else(|| bad("record missing \"t\""))?);
-    let kind_name = field_str(line, "kind").ok_or_else(|| bad("record missing \"kind\""))?;
-    let kind = TraceKind::from_str_name(&kind_name)
+    let v = parse_line(line)?;
+    let u64_of = |key: &str| field_u64(&v, key);
+    let t = SimTime::from_nanos(u64_of("t")?);
+    let kind_name = field_str(&v, "kind")?;
+    let kind = TraceKind::from_str_name(kind_name)
         .ok_or_else(|| bad(format!("unknown kind {kind_name:?}")))?;
     let flow = match kind {
         TraceKind::QueueDepth => QUEUE_FLOW,
-        TraceKind::HopDepth => field_u64(line, "hop").ok_or_else(|| bad("hop missing"))? as u32,
-        _ => field_u64(line, "flow").ok_or_else(|| bad("record missing \"flow\""))? as u32,
+        TraceKind::HopDepth => field_u32(&v, "hop")?,
+        _ => field_u32(&v, "flow")?,
     };
     let rec = match kind {
-        TraceKind::Cwnd => TraceRecord::cwnd(
-            t,
-            flow,
-            field_u64(line, "cwnd").ok_or_else(|| bad("cwnd missing"))?,
-            field_u64(line, "ssthresh").ok_or_else(|| bad("ssthresh missing"))?,
-        ),
-        TraceKind::Srtt => TraceRecord::srtt(
-            t,
-            flow,
-            SimDuration::from_nanos(field_u64(line, "ns").ok_or_else(|| bad("ns missing"))?),
-        ),
-        TraceKind::Pacing => TraceRecord::pacing(
-            t,
-            flow,
-            field_u64(line, "bps").ok_or_else(|| bad("bps missing"))?,
-        ),
-        TraceKind::Phase => {
-            let label = field_str(line, "label").ok_or_else(|| bad("label missing"))?;
-            TraceRecord::phase(t, flow, PhaseLabel::new(&label))
-        }
+        TraceKind::Cwnd => TraceRecord::cwnd(t, flow, u64_of("cwnd")?, u64_of("ssthresh")?),
+        TraceKind::Srtt => TraceRecord::srtt(t, flow, SimDuration::from_nanos(u64_of("ns")?)),
+        TraceKind::Pacing => TraceRecord::pacing(t, flow, u64_of("bps")?),
+        TraceKind::Phase => TraceRecord::phase(t, flow, PhaseLabel::new(field_str(&v, "label")?)),
         TraceKind::Congestion => {
-            let ev = field_str(line, "event").ok_or_else(|| bad("event missing"))?;
-            let ck = CongestionKind::from_str_name(&ev)
+            let ev = field_str(&v, "event")?;
+            let ck = CongestionKind::from_str_name(ev)
                 .ok_or_else(|| bad(format!("unknown congestion event {ev:?}")))?;
             TraceRecord::congestion(t, flow, ck)
         }
-        TraceKind::QueueDepth => TraceRecord::queue_depth(
-            t,
-            field_u64(line, "bytes").ok_or_else(|| bad("bytes missing"))?,
-            field_u64(line, "pkts").ok_or_else(|| bad("pkts missing"))?,
-        ),
-        TraceKind::Drop => TraceRecord::drop(
-            t,
-            flow,
-            field_u64(line, "queue_bytes").ok_or_else(|| bad("queue_bytes missing"))?,
-        ),
-        TraceKind::EcnMark => TraceRecord::ecn_mark(
-            t,
-            flow,
-            field_u64(line, "queue_bytes").ok_or_else(|| bad("queue_bytes missing"))?,
-            field_u64(line, "hop").ok_or_else(|| bad("hop missing"))?,
-        ),
-        TraceKind::HopDepth => TraceRecord::hop_depth(
-            t,
-            flow,
-            field_u64(line, "bytes").ok_or_else(|| bad("bytes missing"))?,
-            field_u64(line, "pkts").ok_or_else(|| bad("pkts missing"))?,
-        ),
+        TraceKind::QueueDepth => TraceRecord::queue_depth(t, u64_of("bytes")?, u64_of("pkts")?),
+        TraceKind::Drop => TraceRecord::drop(t, flow, u64_of("queue_bytes")?),
+        TraceKind::EcnMark => {
+            TraceRecord::ecn_mark(t, flow, u64_of("queue_bytes")?, u64_of("hop")?)
+        }
+        TraceKind::HopDepth => TraceRecord::hop_depth(t, flow, u64_of("bytes")?, u64_of("pkts")?),
     };
     Ok(rec)
 }
@@ -221,16 +160,17 @@ fn parse_record(line: &str) -> io::Result<TraceRecord> {
 pub fn read_jsonl<R: BufRead>(r: R) -> io::Result<RunTrace> {
     let mut lines = r.lines();
     let header = lines.next().ok_or_else(|| bad("empty trace file"))??;
-    if !header.contains("\"meta\"") {
-        return Err(bad("first line is not a meta header"));
-    }
-    let meta = TraceMeta {
-        scenario: field_str(&header, "scenario").ok_or_else(|| bad("meta missing scenario"))?,
-        seed: field_u64(&header, "seed").ok_or_else(|| bad("meta missing seed"))?,
-        flows: field_u64(&header, "flows").ok_or_else(|| bad("meta missing flows"))? as u32,
+    let header = parse_line(&header)?;
+    let meta = header
+        .get("meta")
+        .ok_or_else(|| bad("first line is not a meta header"))?;
+    let trace_meta = TraceMeta {
+        scenario: field_str(meta, "scenario")?.to_string(),
+        seed: field_u64(meta, "seed")?,
+        flows: field_u32(meta, "flows")?,
     };
-    let evicted = field_u64(&header, "evicted").unwrap_or(0);
-    let thinned = field_u64(&header, "thinned").unwrap_or(0);
+    let evicted = field_u64(meta, "evicted").unwrap_or(0);
+    let thinned = field_u64(meta, "thinned").unwrap_or(0);
     let mut records = Vec::new();
     for line in lines {
         let line = line?;
@@ -240,7 +180,7 @@ pub fn read_jsonl<R: BufRead>(r: R) -> io::Result<RunTrace> {
         records.push(parse_record(&line)?);
     }
     Ok(RunTrace {
-        meta,
+        meta: trace_meta,
         records,
         evicted,
         thinned,
@@ -306,12 +246,5 @@ mod tests {
         assert!(read_jsonl(io::BufReader::new(&b"{\"t\":1}\n"[..])).is_err());
         let noheader = b"{\"t\":1,\"flow\":0,\"kind\":\"cwnd\",\"cwnd\":1,\"ssthresh\":2}\n";
         assert!(read_jsonl(io::BufReader::new(&noheader[..])).is_err());
-    }
-
-    #[test]
-    fn escape_handles_control_chars() {
-        let mut s = String::new();
-        escape("a\"b\\c\nd", &mut s);
-        assert_eq!(s, "a\\\"b\\\\c\\u000ad");
     }
 }

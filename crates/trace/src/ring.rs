@@ -17,11 +17,10 @@
 
 use crate::event::{TraceRecord, RECORD_BYTES};
 use ccsim_sim::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// How a ring thins dense sample streams.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum RetentionPolicy {
     /// Admit every sample (bounded only by the ring capacity).
     #[default]
@@ -316,12 +315,6 @@ impl<T: Clone> BoundedLog<T> {
         self.buf.iter().cloned().collect()
     }
 }
-
-// The offline serde stand-in's traits are markers (vendor/README.md);
-// under real serde these become `#[serde(transparent)]`-style impls over
-// the retained entries.
-impl<T: Serialize> Serialize for BoundedLog<T> {}
-impl<'de, T: Deserialize<'de>> Deserialize<'de> for BoundedLog<T> {}
 
 #[cfg(test)]
 mod tests {

@@ -916,7 +916,7 @@ fn campaign_run(args: &[String]) -> ! {
             format!(
                 ",\"memory_bytes_peak\":{bytes},\"memory_peak_flows\":{flows},\
                  \"memory_per_flow_bytes\":{}",
-                ccsim::sim::jsonfmt::json_f64(bytes as f64 / f64::from(flows))
+                ccsim::sim::json::json_f64(bytes as f64 / f64::from(flows))
             )
         });
         let summary = format!(
@@ -925,9 +925,9 @@ fn campaign_run(args: &[String]) -> ! {
             spec.name,
             results.len(),
             failed.len(),
-            ccsim::sim::jsonfmt::json_f64(wall),
-            ccsim::sim::jsonfmt::json_f64(dispatch),
-            ccsim::sim::jsonfmt::json_f64(ccsim::sim::jsonfmt::safe_rate(events as f64, dispatch)),
+            ccsim::sim::json::json_f64(wall),
+            ccsim::sim::json::json_f64(dispatch),
+            ccsim::sim::json::json_f64(ccsim::sim::json::safe_rate(events as f64, dispatch)),
         );
         std::fs::write(path, summary).unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
         eprintln!("wrote {path}");

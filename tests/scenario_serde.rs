@@ -1,11 +1,7 @@
-//! Scenario and outcome (de)serialization: experiments must be storable
-//! and replayable from JSON-ish descriptions (we use serde's data model;
-//! the concrete wire format here is exercised via serde_test-free
-//! round-trips through the `serde_json`-compatible Value-free path:
-//! Serialize -> Deserialize over a string is not available without a
-//! format crate, so this test round-trips through bincode-like manual
-//! field checks instead: it verifies `Clone`/`PartialEq`-observable
-//! equivalence of the pieces serde would carry).
+//! Scenario cloning: a cloned `Scenario` carries every field of the
+//! original (checked field by field through `PartialEq`) and runs to the
+//! same outcome. The JSON form is covered by the codec round-trip tests
+//! in `ccsim-core` and by `tests/proptest_decoders.rs`.
 
 use ccsim::cca::CcaKind;
 use ccsim::experiments::{FlowGroup, Scenario};
