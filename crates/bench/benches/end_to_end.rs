@@ -3,7 +3,7 @@
 //! long the full figure grids take.
 
 use ccsim_cca::CcaKind;
-use ccsim_core::{run, FlowGroup, Scenario};
+use ccsim_core::{FlowGroup, Scenario};
 use ccsim_sim::{Bandwidth, SimDuration};
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -28,7 +28,7 @@ fn bench_scenarios(c: &mut Criterion) {
         ("bbr", CcaKind::Bbr),
     ] {
         g.bench_function(format!("edge_{label}_10flows_3s"), |b| {
-            b.iter(|| run(&edge(cca, 10)))
+            b.iter(|| Scenario::run(&edge(cca, 10)))
         });
     }
     // A mini-CoreScale: 1 Gbps shared by 100 flows, same per-flow share as
@@ -37,7 +37,7 @@ fn bench_scenarios(c: &mut Criterion) {
         let mut s = edge(CcaKind::Reno, 100);
         s.bottleneck = Bandwidth::from_gbps(1);
         s.buffer_bytes = 25_000_000;
-        b.iter(|| run(&s))
+        b.iter(|| Scenario::run(&s))
     });
     g.finish();
 }

@@ -2,13 +2,14 @@
 //! attached, and the raw per-operation cost of the registry primitives.
 //!
 //! `observed_run/plain` vs `observed_run/observed` is the headline: the
-//! same quickstart-sized scenario through `run` and `run_observed`. The
+//! same quickstart-sized scenario through `run` without and with
+//! `RunOptions::observe`. The
 //! observed run adds an inlined per-event class count, a histogram sample
 //! per packet arrival, and a handful of counters on the TCP slow paths —
 //! the two times should agree to well under 2%.
 
 use ccsim_cca::CcaKind;
-use ccsim_core::{run, run_observed, FlowGroup, Scenario};
+use ccsim_core::{run, FlowGroup, ObserveOptions, RunOptions, Scenario};
 use ccsim_sim::SimDuration;
 use ccsim_telemetry::{Counter, Histogram};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -35,8 +36,12 @@ fn bench_observed_run(c: &mut Criterion) {
     let mut g = c.benchmark_group("observed_run");
     g.sample_size(10);
     let s = quickstart();
-    g.bench_function("plain", |b| b.iter(|| run(black_box(&s))));
-    g.bench_function("observed", |b| b.iter(|| run_observed(black_box(&s))));
+    let observed = || RunOptions {
+        observe: Some(ObserveOptions::default()),
+        ..RunOptions::default()
+    };
+    g.bench_function("plain", |b| b.iter(|| black_box(&s).run()));
+    g.bench_function("observed", |b| b.iter(|| run(black_box(&s), observed())));
     g.finish();
 }
 

@@ -10,7 +10,7 @@
 //! bounds an aggressive 100 ms window (10× the fold rate).
 
 use ccsim_cca::CcaKind;
-use ccsim_core::{try_run_observed_with, FlowGroup, ObserveOptions, Scenario};
+use ccsim_core::{run, FlowGroup, ObserveOptions, RunOptions, Scenario};
 use ccsim_sim::SimDuration;
 use ccsim_timeline::TimelineConfig;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -34,10 +34,14 @@ fn quickstart() -> Scenario {
 }
 
 fn observed(scenario: &Scenario, options: ObserveOptions) -> u64 {
-    try_run_observed_with(scenario, options, |_| {})
+    let opts = RunOptions {
+        observe: Some(options),
+        ..RunOptions::default()
+    };
+    run(scenario, opts)
         .expect("quickstart scenario runs clean")
         .outcome
-        .events_processed
+        .map_or(0, |o| o.events_processed)
 }
 
 fn bench_timeline_run(c: &mut Criterion) {

@@ -10,7 +10,7 @@
 //! marginal cost of the stride knob.
 
 use ccsim_cca::CcaKind;
-use ccsim_core::{run, FlowGroup, Scenario};
+use ccsim_core::{FlowGroup, Scenario};
 use ccsim_fault::WatchdogConfig;
 use ccsim_sim::SimDuration;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -39,9 +39,9 @@ fn bench_watchdog_run(c: &mut Criterion) {
     let off = quickstart();
     let on = quickstart().watched(WatchdogConfig::every_slice());
     let strided = quickstart().watched(WatchdogConfig::every_n(5));
-    g.bench_function("off", |b| b.iter(|| run(black_box(&off))));
-    g.bench_function("on", |b| b.iter(|| run(black_box(&on))));
-    g.bench_function("strided", |b| b.iter(|| run(black_box(&strided))));
+    g.bench_function("off", |b| b.iter(|| black_box(&off).run()));
+    g.bench_function("on", |b| b.iter(|| black_box(&on).run()));
+    g.bench_function("strided", |b| b.iter(|| black_box(&strided).run()));
     g.finish();
 }
 

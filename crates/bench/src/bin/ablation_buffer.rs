@@ -9,7 +9,7 @@
 use ccsim_bench::{parse_args, section, StageTimer};
 use ccsim_cca::CcaKind;
 use ccsim_core::report::render_table;
-use ccsim_core::{run, FlowGroup};
+use ccsim_core::FlowGroup;
 use ccsim_sim::SimDuration;
 
 fn main() {
@@ -36,7 +36,7 @@ fn main() {
             .flows(vec![FlowGroup::new(CcaKind::Reno, count, rtt)]);
         s.buffer_bytes = buffer.max(10 * 1500);
         s.name = format!("buffer-{label}");
-        let o = run(&s);
+        let o = s.run();
         rows.push(vec![
             label.to_string(),
             format!("{:.2} MB", s.buffer_bytes as f64 / 1e6),

@@ -50,7 +50,7 @@ impl GridExec {
     }
 
     /// Run one grid's scenarios on the pool; panic on any failed cell
-    /// (matching the old serial `run_all` behavior).
+    /// (matching `Scenario::run`).
     fn run(&self, label: &str, scenarios: &[Scenario]) -> Vec<RunOutcome> {
         let progress = CampaignProgress::new(label, scenarios.len());
         let results = run_scenarios(scenarios, &self.opts, |r| {

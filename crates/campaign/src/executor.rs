@@ -1,12 +1,10 @@
 //! The parallel sweep executor: a worker pool over campaign jobs.
 //!
-//! Each job runs through the existing observed-run path
-//! ([`ccsim_core::try_run_observed`]) on its own thread, so every run
-//! carries its provenance manifest and the observation-inertness
-//! guarantee. The pool is a plain `std::thread::scope` with an atomic
-//! job-pull counter — the same shape as `ccsim_core::run_all`, plus
-//! failure capture: typed errors and panics become failed [`JobResult`]s
-//! (with an optional crash bundle) instead of tearing down the campaign.
+//! Each job is an observed [`ccsim_core::run`] on a worker of
+//! [`ccsim_core::pool`], so every run carries its provenance manifest and
+//! the observation-inertness guarantee. Typed errors and panics (which
+//! `run` catches) become failed [`JobResult`]s (with an optional crash
+//! bundle) instead of tearing down the campaign.
 //!
 //! Determinism: a scenario's outcome depends only on its configuration
 //! and seed, never on scheduling, so a campaign run with `--workers 8`
@@ -18,15 +16,15 @@ use ccsim_analysis::mathis::fit_constant;
 use ccsim_cca::CcaKind;
 use ccsim_core::observe::scenario_digest;
 use ccsim_core::{
-    crash, try_run_observed_live, BottleneckMetrics, LiveState, ObserveOptions, ObservedRun,
-    PInterpretation, RunOutcome, Scenario, TimelineConfig,
+    crash, pool, run, BottleneckMetrics, GuardOptions, LiveState, ObserveOptions, PInterpretation,
+    RunOptions, RunOutcome, Scenario, SimError, TimelineConfig,
 };
-use ccsim_sim::SimDuration;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use ccsim_sim::{SimDuration, SimTime};
+use ccsim_telemetry::manifest::RunManifest;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The trace bin used for the ledger's synchronization-index rollup
@@ -58,9 +56,7 @@ pub struct ExecutorOptions {
 impl Default for ExecutorOptions {
     fn default() -> ExecutorOptions {
         ExecutorOptions {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
+            workers: pool::default_workers(),
             crash_dir: None,
             profile: false,
             timeline: None,
@@ -96,8 +92,9 @@ pub struct SupervisorOptions {
     /// `backoff * k`. Deterministic — no jitter, by design.
     pub backoff: Duration,
     /// Test hook: jobs whose name contains this substring panic at their
-    /// first progress report. Exercises the retry/quarantine/crash-bundle
-    /// path without a buggy scenario.
+    /// first progress report (through [`GuardOptions::force_panic_at`]).
+    /// Exercises the retry/quarantine/crash-bundle path without a buggy
+    /// scenario.
     pub force_panic_jobs: Option<String>,
     /// Test hook: jobs whose name contains this substring stop
     /// heartbeating at their first progress report (until the supervisor
@@ -227,6 +224,13 @@ fn majority_cca(outcome: &RunOutcome) -> Option<CcaKind> {
     kinds.into_iter().max_by_key(|&k| outcome.count_of(k))
 }
 
+/// A successful job: the run's outcome and its provenance manifest.
+#[derive(Debug)]
+pub struct JobRun {
+    pub outcome: RunOutcome,
+    pub manifest: RunManifest,
+}
+
 /// The result of one executed job: the observed run on success, an error
 /// string (typed failure or panic message) otherwise.
 #[derive(Debug)]
@@ -234,7 +238,7 @@ pub struct JobResult {
     pub job: CampaignJob,
     /// FNV-1a digest of the job's scenario configuration.
     pub config_digest: u64,
-    pub run: Result<ObservedRun, String>,
+    pub run: Result<JobRun, String>,
     /// Crash-bundle directory, when the job failed and a crash dir was
     /// configured and the bundle write succeeded.
     pub crash_bundle: Option<PathBuf>,
@@ -267,11 +271,11 @@ impl JobResult {
 }
 
 /// One attempt's failure: a typed simulator error (including panics
-/// folded into [`SimError::Panic`](ccsim_core::SimError)), or a hang the
-/// supervisor detected from outside (no error value exists — the attempt
-/// thread is still wedged).
+/// folded into [`SimError::Panic`]), or a hang the supervisor detected
+/// from outside (no error value exists — the attempt thread is still
+/// wedged).
 enum AttemptError {
-    Sim(ccsim_core::SimError),
+    Sim(SimError),
     Hang(String),
 }
 
@@ -284,7 +288,7 @@ impl AttemptError {
     }
 }
 
-/// Run one attempt inline, folding panics (including the forced-panic
+/// Run one attempt inline. `run` folds panics (including the forced-panic
 /// test hook) into `SimError::Panic` with the payload text preserved.
 fn attempt(
     job: &CampaignJob,
@@ -294,38 +298,37 @@ fn attempt(
     heartbeat: &AtomicU64,
     cancel: &AtomicBool,
     clock: Instant,
-) -> Result<ObservedRun, ccsim_core::SimError> {
-    let force_panic = sup.forces_panic(&job.name);
+) -> Result<JobRun, SimError> {
     let force_hang = sup.forces_hang(&job.name);
-    let mut hook_fired = false;
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        try_run_observed_live(&job.scenario, observe, None, live, |_| {
-            heartbeat.store(clock.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            if !hook_fired {
-                hook_fired = true;
-                if force_panic {
-                    panic!("forced panic (supervisor test hook)");
-                }
-                if force_hang {
-                    // Go silent until the supervisor abandons the
-                    // attempt, then unwind so the thread actually exits
-                    // (the result channel is already closed; the send
-                    // below fails silently).
-                    while !cancel.load(Ordering::Relaxed) {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    panic!("forced hang (supervisor test hook): cancelled");
-                }
+    let mut progress = |_: &ccsim_core::Progress| {
+        heartbeat.store(clock.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        if force_hang {
+            // Go silent until the supervisor abandons the attempt, then
+            // unwind so the thread actually exits (the result channel is
+            // already closed; the send below fails silently).
+            while !cancel.load(Ordering::Relaxed) {
+                std::thread::sleep(Duration::from_millis(2));
             }
-        })
-        .map(|(obs, _)| obs)
-    }));
-    match caught {
-        Ok(r) => r,
-        Err(payload) => Err(ccsim_core::SimError::Panic {
-            message: ccsim_core::panic_message(payload.as_ref()),
-        }),
-    }
+            panic!("forced hang (supervisor test hook): cancelled");
+        }
+    };
+    let opts = RunOptions {
+        progress: Some(&mut progress),
+        observe: Some(observe),
+        guard: GuardOptions {
+            bundle_dir: None,
+            force_panic_at: sup.forces_panic(&job.name).then_some(SimTime::ZERO),
+        },
+        live,
+        ..RunOptions::default()
+    };
+    let report = run(&job.scenario, opts)?;
+    Ok(JobRun {
+        outcome: report
+            .outcome
+            .expect("a run without stop_at_checkpoint finishes"),
+        manifest: report.manifest.expect("an observed run has a manifest"),
+    })
 }
 
 /// Run one attempt under supervision. Unmonitored jobs run inline on the
@@ -336,7 +339,7 @@ fn supervised_attempt(
     observe: ObserveOptions,
     live: Option<Arc<LiveState>>,
     sup: &SupervisorOptions,
-) -> Result<ObservedRun, AttemptError> {
+) -> Result<JobRun, AttemptError> {
     let heartbeat = Arc::new(AtomicU64::new(0));
     let cancel = Arc::new(AtomicBool::new(false));
     let clock = Instant::now();
@@ -367,7 +370,7 @@ fn supervised_attempt(
             }
             Err(RecvTimeoutError::Disconnected) => {
                 // The attempt thread died without sending (it cannot
-                // panic past the catch_unwind; this is belt-and-braces).
+                // panic past `run`'s guard; this is belt-and-braces).
                 let _ = handle.join();
                 return Err(AttemptError::Hang(
                     "job thread exited without reporting a result".to_string(),
@@ -473,45 +476,11 @@ pub fn run_campaign_supervised<F>(
 where
     F: Fn(&JobResult) + Sync,
 {
-    let workers = opts.workers.max(1).min(jobs.len().max(1));
-    if workers == 1 {
-        return jobs
-            .into_iter()
-            .map(|job| {
-                let r = run_one(job, opts, sup);
-                on_done(&r);
-                r
-            })
-            .collect();
-    }
-    let mut results: Vec<Option<JobResult>> = Vec::new();
-    results.resize_with(jobs.len(), || None);
-    let jobs_shared: Vec<Mutex<Option<CampaignJob>>> =
-        jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let next = AtomicUsize::new(0);
-    let results_mutex = Mutex::new(&mut results);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs_shared.len() {
-                    break;
-                }
-                let job = jobs_shared[i]
-                    .lock()
-                    .unwrap()
-                    .take()
-                    .expect("each job is claimed exactly once");
-                let r = run_one(job, opts, sup);
-                on_done(&r);
-                results_mutex.lock().unwrap()[i] = Some(r);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("every job produced a result"))
-        .collect()
+    pool::map_ordered(jobs, opts.workers, |job| {
+        let r = run_one(job, opts, sup);
+        on_done(&r);
+        r
+    })
 }
 
 /// Run plain scenarios through the campaign executor (no axes — job

@@ -26,8 +26,8 @@ pub mod spec;
 
 pub use diff::{diff, DiffOptions, DiffReport, Finding, FindingKind};
 pub use executor::{
-    run_campaign, run_campaign_supervised, run_scenarios, ExecutorOptions, JobResult, Rollup,
-    SupervisorOptions,
+    run_campaign, run_campaign_supervised, run_scenarios, ExecutorOptions, JobResult, JobRun,
+    Rollup, SupervisorOptions,
 };
 pub use ledger::{Ledger, LedgerEntry, LedgerWriter};
 pub use report::{check_expectations, ExpectationResult};

@@ -114,8 +114,8 @@ impl AxisParam {
                     .map_err(|_| bad(format!("axis buffer_bytes: bad value \"{value}\"")))?;
             }
             AxisParam::Topology => {
-                scenario.topology = TopologyKind::parse(value)
-                    .ok_or_else(|| bad(format!("axis topology: unknown shape \"{value}\"")))?;
+                scenario.topology =
+                    TopologyKind::parse(value).map_err(|e| bad(format!("axis topology: {e}")))?;
             }
             AxisParam::Aqm => {
                 scenario.aqm = AqmKind::parse(value)
@@ -509,8 +509,7 @@ fn base_from_preset(v: &Json) -> Result<Scenario, JsonError> {
         s.tuning.tx_burst = to_u32(n, "tx_burst")?;
     }
     if let Some(name) = v.get("topology").and_then(Json::as_str) {
-        s.topology =
-            TopologyKind::parse(name).ok_or_else(|| bad(format!("unknown topology \"{name}\"")))?;
+        s.topology = TopologyKind::parse(name).map_err(|e| bad(e.to_string()))?;
     }
     if let Some(name) = v.get("aqm").and_then(Json::as_str) {
         s.aqm = AqmKind::parse(name).ok_or_else(|| bad(format!("unknown aqm \"{name}\"")))?;

@@ -1,4 +1,5 @@
-//! Whole-run checkpoint capture/restore and the divergence bisector.
+//! Whole-run checkpoints: the on-disk container, capture/restore, and the
+//! divergence bisector.
 //!
 //! A checkpoint is a byte-exact snapshot of everything a run's future
 //! depends on: the engine (clock, event queue, cancellation tokens), every
@@ -11,20 +12,255 @@
 //! The contract, enforced by the differential tests: for any slice
 //! boundary `t`, `run(0→T)` and `run(0→t) → snapshot → restore → run(t→T)`
 //! produce byte-identical outcomes.
+//!
+//! ## Container layout
+//!
+//! ```text
+//! magic    8 B   "CCSNAP\r\n"
+//! version  4 B   little-endian u32 (currently 1)
+//! scenario       length-prefixed UTF-8 (the run's scenario JSON)
+//! taken_at 8 B   sim-time nanoseconds of the capture boundary
+//! body           length-prefixed opaque engine+harness state
+//! digest   8 B   FNV-1a over every preceding byte
+//! ```
+//!
+//! The scenario rides *inside* the checkpoint so restore can rebuild the
+//! component arena deterministically (same ids, same wiring) before
+//! overwriting mutable state — and so a checkpoint file is self-contained
+//! for the divergence bisector (`ccsim bisect`). The end-to-end digest
+//! makes a torn or bit-rotted file a typed error, never a silently
+//! divergent resume.
 
 use crate::build::BuiltNetwork;
 use crate::error::SimError;
-use crate::runner::{run_to_checkpoint, SenderBaseline};
+use crate::runner::{run, RunOptions, SenderBaseline};
 use crate::scenario::Scenario;
 use crate::watchdog::Watchdog;
 use ccsim_net::link::Link;
 use ccsim_net::msg::Msg;
-use ccsim_resume::{Checkpoint, ResumeError};
 use ccsim_sim::{SimTime, SnapError, SnapReader, SnapWriter};
 use ccsim_tcp::receiver::Receiver;
 use ccsim_tcp::sender::Sender;
+use ccsim_telemetry::manifest::fnv1a_64;
 use ccsim_telemetry::ThroughputTracker;
 use ccsim_topo::Router;
+use std::fmt;
+use std::path::Path;
+
+/// File magic. The trailing `\r\n` catches text-mode corruption the way
+/// PNG's does.
+pub const SNAP_MAGIC: [u8; 8] = *b"CCSNAP\r\n";
+
+/// Current container version. Bump on any layout change to the container
+/// *or* to the layer encodings inside `body` — a restore across
+/// mismatched encodings would not be byte-identical, so it must fail
+/// loudly instead.
+pub const SNAP_VERSION: u32 = 1;
+
+/// Why a checkpoint failed to load. Every variant is a value — loading
+/// untrusted bytes (a file torn by a kill mid-write) must never panic.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ResumeError {
+    /// The file does not start with [`SNAP_MAGIC`] — not a checkpoint.
+    BadMagic,
+    /// The container (or the encodings inside it) is from a different
+    /// format generation.
+    Version {
+        /// Version stamped in the file.
+        found: u32,
+        /// Version this build reads.
+        expected: u32,
+    },
+    /// The buffer ended before a field it promised.
+    Truncated {
+        /// Bytes the decoder needed next.
+        needed: usize,
+        /// Bytes that remained.
+        remaining: usize,
+    },
+    /// A field held an impossible value.
+    Corrupt(String),
+    /// The trailing digest does not cover the bytes present — the file
+    /// was modified or torn after the length fields.
+    DigestMismatch {
+        /// Digest stored in the trailer.
+        stored: u64,
+        /// Digest computed over the file contents.
+        computed: u64,
+    },
+    /// Filesystem-level failure (message carries the `std::io::Error`).
+    Io(String),
+}
+
+impl fmt::Display for ResumeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ResumeError::BadMagic => write!(f, "not a ccsim checkpoint (bad magic)"),
+            ResumeError::Version { found, expected } => {
+                write!(f, "checkpoint version {found}, this build reads {expected}")
+            }
+            ResumeError::Truncated { needed, remaining } => write!(
+                f,
+                "checkpoint truncated: needed {needed} bytes, {remaining} remaining"
+            ),
+            ResumeError::Corrupt(what) => write!(f, "checkpoint corrupt: {what}"),
+            ResumeError::DigestMismatch { stored, computed } => write!(
+                f,
+                "checkpoint digest mismatch: stored {stored:016x}, computed {computed:016x}"
+            ),
+            ResumeError::Io(e) => write!(f, "checkpoint io: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ResumeError {}
+
+impl From<SnapError> for ResumeError {
+    fn from(e: SnapError) -> ResumeError {
+        match e {
+            SnapError::Truncated { needed, remaining } => {
+                ResumeError::Truncated { needed, remaining }
+            }
+            SnapError::Corrupt(what) => ResumeError::Corrupt(what),
+        }
+    }
+}
+
+impl From<std::io::Error> for ResumeError {
+    fn from(e: std::io::Error) -> ResumeError {
+        ResumeError::Io(e.to_string())
+    }
+}
+
+/// A decoded checkpoint: the scenario it belongs to plus the opaque
+/// engine+harness state blob that [`capture`] produces and
+/// [`restore_into`] consumes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Checkpoint {
+    /// The run's scenario, as its canonical JSON — restore rebuilds the
+    /// network from this, guaranteeing an identical component arena.
+    pub scenario_json: String,
+    /// Sim-time nanoseconds of the slice boundary the state was frozen at.
+    pub taken_at_nanos: u64,
+    /// Layered engine + component + harness state (layout at
+    /// [`capture_body`]).
+    pub body: Vec<u8>,
+}
+
+impl Checkpoint {
+    /// Encode into the self-describing container bytes (digest included).
+    /// Encoding is canonical: equal checkpoints encode to equal bytes.
+    pub fn encode(&self) -> Vec<u8> {
+        // Magic is written raw (not length-prefixed) so the first 8 file
+        // bytes are always the literal signature.
+        let mut out = Vec::with_capacity(self.body.len() + self.scenario_json.len() + 64);
+        out.extend_from_slice(&SNAP_MAGIC);
+        out.extend_from_slice(&SNAP_VERSION.to_le_bytes());
+        let mut w = SnapWriter::new();
+        w.str(&self.scenario_json);
+        w.u64(self.taken_at_nanos);
+        w.bytes(&self.body);
+        out.extend_from_slice(w.as_bytes());
+        let digest = fnv1a_64(&out);
+        out.extend_from_slice(&digest.to_le_bytes());
+        out
+    }
+
+    /// Decode container bytes, verifying magic, version, and digest.
+    pub fn decode(bytes: &[u8]) -> Result<Checkpoint, ResumeError> {
+        if bytes.len() < SNAP_MAGIC.len() {
+            return Err(ResumeError::Truncated {
+                needed: SNAP_MAGIC.len(),
+                remaining: bytes.len(),
+            });
+        }
+        if bytes[..SNAP_MAGIC.len()] != SNAP_MAGIC {
+            return Err(ResumeError::BadMagic);
+        }
+        let rest = &bytes[SNAP_MAGIC.len()..];
+        if rest.len() < 4 {
+            return Err(ResumeError::Truncated {
+                needed: 4,
+                remaining: rest.len(),
+            });
+        }
+        let version = u32::from_le_bytes(rest[..4].try_into().unwrap());
+        if version != SNAP_VERSION {
+            return Err(ResumeError::Version {
+                found: version,
+                expected: SNAP_VERSION,
+            });
+        }
+        // Digest trailer: the last 8 bytes cover everything before them.
+        if bytes.len() < SNAP_MAGIC.len() + 4 + 8 {
+            return Err(ResumeError::Truncated {
+                needed: 8,
+                remaining: bytes.len() - SNAP_MAGIC.len() - 4,
+            });
+        }
+        let (covered, trailer) = bytes.split_at(bytes.len() - 8);
+        let stored = u64::from_le_bytes(trailer.try_into().unwrap());
+        let computed = fnv1a_64(covered);
+        if stored != computed {
+            return Err(ResumeError::DigestMismatch { stored, computed });
+        }
+        let mut r = SnapReader::new(&covered[SNAP_MAGIC.len() + 4..]);
+        let scenario_json = r.str()?.to_string();
+        let taken_at_nanos = r.u64()?;
+        let body = r.bytes()?.to_vec();
+        if !r.is_exhausted() {
+            return Err(ResumeError::Corrupt(format!(
+                "{} trailing bytes after checkpoint body",
+                r.remaining()
+            )));
+        }
+        Ok(Checkpoint {
+            scenario_json,
+            taken_at_nanos,
+            body,
+        })
+    }
+
+    /// Digest of the engine+harness state alone (scenario and container
+    /// framing excluded). The divergence bisector compares this across
+    /// two runs' checkpoints at the same slice.
+    pub fn state_digest(&self) -> u64 {
+        fnv1a_64(&self.body)
+    }
+
+    /// Encoded size in bytes — the figure the run manifest and the
+    /// `resume/checkpoint` memory gauge report.
+    pub fn encoded_len(&self) -> usize {
+        // magic + version + str len + str + taken_at + body len + body + digest
+        SNAP_MAGIC.len() + 4 + 8 + self.scenario_json.len() + 8 + 8 + self.body.len() + 8
+    }
+
+    /// Write the encoded container to `path` atomically (tmp + rename), so
+    /// a kill mid-write leaves either the old file or none — never a torn
+    /// checkpoint that could half-load.
+    pub fn write_file(&self, path: &Path) -> Result<(), ResumeError> {
+        let tmp = path.with_extension("snap.tmp");
+        std::fs::write(&tmp, self.encode())?;
+        std::fs::rename(&tmp, path)?;
+        Ok(())
+    }
+
+    /// Read and decode a checkpoint file.
+    pub fn read_file(path: &Path) -> Result<Checkpoint, ResumeError> {
+        let bytes = std::fs::read(path)?;
+        Checkpoint::decode(&bytes)
+    }
+
+    /// Parse the scenario this checkpoint was taken from — the scenario a
+    /// resumed [`run`] must be given.
+    pub fn scenario(&self) -> Result<Scenario, SimError> {
+        crate::codec::scenario_from_json(&self.scenario_json).map_err(|e| {
+            SimError::Resume(ResumeError::Corrupt(format!(
+                "embedded scenario does not parse: {e}"
+            )))
+        })
+    }
+}
 
 /// Phase tag stored in the checkpoint body.
 const PHASE_WARMUP: u8 = 0;
@@ -223,6 +459,19 @@ pub fn slice_boundaries(scenario: &Scenario) -> Vec<SimTime> {
     out
 }
 
+/// Run `scenario` just far enough to capture a checkpoint at the first
+/// slice boundary at or after `at`.
+fn checkpoint_at(scenario: &Scenario, at: SimTime) -> Result<Checkpoint, SimError> {
+    let opts = RunOptions {
+        checkpoint_at: Some(at),
+        stop_at_checkpoint: true,
+        ..RunOptions::default()
+    };
+    Ok(run(scenario, opts)?
+        .checkpoint
+        .expect("a stop_at_checkpoint run returns its checkpoint"))
+}
+
 /// Where two runs first diverge, as found by [`bisect_divergence`].
 #[derive(Debug)]
 pub struct DivergencePoint {
@@ -285,8 +534,8 @@ pub fn bisect_divergence(
                  on_probe: &mut dyn FnMut(usize, SimTime, bool)|
      -> Result<(Checkpoint, Checkpoint, bool), SimError> {
         let at = boundaries[k];
-        let ca = run_to_checkpoint(&a, at)?;
-        let cb = run_to_checkpoint(&b, at)?;
+        let ca = checkpoint_at(&a, at)?;
+        let cb = checkpoint_at(&b, at)?;
         let diverged = ca.state_digest() != cb.state_digest();
         on_probe(k, at, diverged);
         Ok((ca, cb, diverged))
@@ -334,7 +583,7 @@ pub fn bisect_divergence(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run, run_to_checkpoint, try_resume_run, try_run_with_checkpoint};
+    use crate::runner::RunReport;
     use crate::scenario::FlowGroup;
     use ccsim_cca::CcaKind;
     use ccsim_sim::{Bandwidth, SimDuration};
@@ -359,16 +608,24 @@ mod tests {
         s
     }
 
+    fn resume(cp: &Checkpoint) -> RunReport {
+        let opts = RunOptions {
+            resume_from: Some(cp),
+            ..RunOptions::default()
+        };
+        run(&cp.scenario().unwrap(), opts).unwrap()
+    }
+
     #[test]
     fn resume_from_measurement_checkpoint_reproduces_the_run() {
         let s = tiny(3);
-        let full = run(&s);
+        let full = s.run();
         let mid = SimTime::ZERO + s.warmup + SimDuration::from_secs(2);
-        let cp = run_to_checkpoint(&s, mid).unwrap();
+        let cp = checkpoint_at(&s, mid).unwrap();
         assert_eq!(cp.taken_at_nanos, mid.as_nanos());
         // Round-trip the container exactly as a file load would.
         let cp = Checkpoint::decode(&cp.encode()).unwrap();
-        let resumed = try_resume_run(&cp).unwrap();
+        let resumed = resume(&cp).outcome.unwrap();
         assert_eq!(full.to_json(), resumed.to_json());
         assert_eq!(full.digest(), resumed.digest());
         assert_eq!(full.events_processed, resumed.events_processed);
@@ -379,30 +636,36 @@ mod tests {
         // A 3 s warm-up leaves interior warm-up boundaries to probe.
         let mut s = tiny(5);
         s.warmup = SimDuration::from_secs(3);
-        let full = run(&s);
-        let cp = run_to_checkpoint(&s, SimTime::from_secs(1)).unwrap();
-        let resumed = try_resume_run(&cp).unwrap();
+        let full = s.run();
+        let cp = checkpoint_at(&s, SimTime::from_secs(1)).unwrap();
+        let resumed = resume(&cp).outcome.unwrap();
         assert_eq!(full.to_json(), resumed.to_json());
     }
 
     #[test]
     fn capture_en_route_is_digest_inert() {
         let s = tiny(7);
-        let plain = run(&s);
+        let plain = s.run();
         let mid = SimTime::ZERO + s.warmup + SimDuration::from_secs(1);
-        let (outcome, cp) = try_run_with_checkpoint(&s, mid).unwrap();
-        assert_eq!(plain.to_json(), outcome.to_json());
-        let cp = cp.expect("boundary inside the horizon yields a checkpoint");
+        let opts = RunOptions {
+            checkpoint_at: Some(mid),
+            ..RunOptions::default()
+        };
+        let report = run(&s, opts).unwrap();
+        assert_eq!(plain.to_json(), report.outcome.unwrap().to_json());
+        let cp = report
+            .checkpoint
+            .expect("boundary inside the horizon yields a checkpoint");
         assert_eq!(
             cp.state_digest(),
-            run_to_checkpoint(&s, mid).unwrap().state_digest()
+            checkpoint_at(&s, mid).unwrap().state_digest()
         );
     }
 
     #[test]
     fn checkpoint_past_the_horizon_is_a_typed_error() {
         let s = tiny(1);
-        let err = run_to_checkpoint(&s, SimTime::from_secs(600)).unwrap_err();
+        let err = checkpoint_at(&s, SimTime::from_secs(600)).unwrap_err();
         assert_eq!(err.class(), "resume");
     }
 
@@ -452,7 +715,7 @@ mod tests {
     #[test]
     fn truncated_body_is_a_typed_error_not_a_panic() {
         let s = tiny(4);
-        let cp = run_to_checkpoint(&s, SimTime::from_secs(2)).unwrap();
+        let cp = checkpoint_at(&s, SimTime::from_secs(2)).unwrap();
         for cut in [0, 1, cp.body.len() / 2, cp.body.len() - 1] {
             let mut short = cp.clone();
             short.body.truncate(cut);
@@ -465,7 +728,7 @@ mod tests {
     #[test]
     fn flow_count_mismatch_is_a_typed_error() {
         let s = tiny(4);
-        let cp = run_to_checkpoint(&s, SimTime::from_secs(2)).unwrap();
+        let cp = checkpoint_at(&s, SimTime::from_secs(2)).unwrap();
         let mut other = tiny(4);
         other.flows = vec![FlowGroup::new(
             CcaKind::Reno,
@@ -476,5 +739,103 @@ mod tests {
         let mut wd = Watchdog::new(other.watchdog);
         let err = restore_into(&mut net, &mut wd, &cp.body).unwrap_err();
         assert!(err.to_string().contains("flows"), "{err}");
+    }
+
+    fn sample() -> Checkpoint {
+        Checkpoint {
+            scenario_json: "{\"name\":\"t\"}".to_string(),
+            taken_at_nanos: 123_456_789,
+            body: (0..=255u8).collect(),
+        }
+    }
+
+    #[test]
+    fn encode_decode_round_trips() {
+        let cp = sample();
+        let bytes = cp.encode();
+        assert_eq!(bytes.len(), cp.encoded_len());
+        let back = Checkpoint::decode(&bytes).unwrap();
+        assert_eq!(back, cp);
+        // Canonical: re-encode is a byte fixpoint.
+        assert_eq!(back.encode(), bytes);
+    }
+
+    #[test]
+    fn bad_magic_is_typed() {
+        let mut bytes = sample().encode();
+        bytes[0] = b'X';
+        assert_eq!(Checkpoint::decode(&bytes), Err(ResumeError::BadMagic));
+    }
+
+    #[test]
+    fn version_mismatch_is_typed() {
+        let mut bytes = sample().encode();
+        bytes[8] = 99; // low byte of the version word
+        assert_eq!(
+            Checkpoint::decode(&bytes),
+            Err(ResumeError::Version {
+                found: 99,
+                expected: SNAP_VERSION
+            })
+        );
+    }
+
+    #[test]
+    fn every_truncation_point_is_typed_never_a_panic() {
+        let bytes = sample().encode();
+        for cut in 0..bytes.len() {
+            let err = Checkpoint::decode(&bytes[..cut]).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ResumeError::Truncated { .. }
+                        | ResumeError::DigestMismatch { .. }
+                        | ResumeError::Corrupt(_)
+                        | ResumeError::BadMagic
+                        | ResumeError::Version { .. }
+                ),
+                "cut at {cut}: unexpected {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn bit_flip_anywhere_fails_the_digest() {
+        let bytes = sample().encode();
+        // Flip a byte in the body region; the digest trailer catches it.
+        let mut flipped = bytes.clone();
+        let mid = bytes.len() / 2;
+        flipped[mid] ^= 0x40;
+        assert!(matches!(
+            Checkpoint::decode(&flipped),
+            Err(ResumeError::DigestMismatch { .. }) | Err(ResumeError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn file_round_trip_and_read_errors() {
+        let dir = std::env::temp_dir().join(format!("ccsim-ckpt-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("a.snap");
+        let cp = sample();
+        cp.write_file(&path).unwrap();
+        assert_eq!(Checkpoint::read_file(&path).unwrap(), cp);
+        let missing = dir.join("missing.snap");
+        assert!(matches!(
+            Checkpoint::read_file(&missing),
+            Err(ResumeError::Io(_))
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resuming_a_different_scenario_is_a_typed_error() {
+        let cp = checkpoint_at(&tiny(4), SimTime::from_secs(2)).unwrap();
+        let opts = RunOptions {
+            resume_from: Some(&cp),
+            ..RunOptions::default()
+        };
+        let err = run(&tiny(5), opts).unwrap_err();
+        assert_eq!(err.class(), "resume");
     }
 }

@@ -209,7 +209,7 @@ pub fn scenario_from_value(doc: &Json) -> Result<Scenario, JsonError> {
         None => TopologyKind::SingleBottleneck,
         Some(v) => {
             let name = v.as_str().ok_or_else(|| bad("non-string \"topology\""))?;
-            TopologyKind::parse(name).ok_or_else(|| bad(format!("unknown topology \"{name}\"")))?
+            TopologyKind::parse(name).map_err(|e| bad(e.to_string()))?
         }
     };
     let aqm = match doc.get("aqm") {

@@ -1,8 +1,9 @@
 //! Crash-bundle capture and replay.
 //!
-//! When a run fails — a typed [`SimError`] or an outright panic — the
-//! guard in this module captures everything needed to reproduce the
-//! failure into a self-contained directory:
+//! When a run fails — a typed [`SimError`] or an outright panic, which
+//! [`run`] catches — and [`GuardOptions::bundle_dir`] is set, the run
+//! captures everything needed to reproduce the failure into a
+//! self-contained directory:
 //!
 //! ```text
 //! crash-<config-digest>/
@@ -23,7 +24,7 @@ use crate::codec::{scenario_from_json, scenario_to_json};
 use crate::error::SimError;
 use crate::observe::scenario_digest;
 use crate::outcome::RunOutcome;
-use crate::runner::{try_run_with_progress, Progress};
+use crate::runner::{run, RunOptions};
 use crate::scenario::Scenario;
 use ccsim_sim::json::{escape, Json, JsonError};
 use ccsim_sim::SimTime;
@@ -31,10 +32,9 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-/// How [`run_guarded`] should behave around a failure.
+/// How [`run`](crate::run) behaves around a failure.
 #[derive(Debug, Clone, Default)]
 pub struct GuardOptions {
     /// Directory to write crash bundles under (created on demand). When
@@ -46,83 +46,8 @@ pub struct GuardOptions {
     pub force_panic_at: Option<SimTime>,
 }
 
-/// A failure caught by [`run_guarded`], with the bundle it produced.
-#[derive(Debug)]
-pub struct GuardedFailure {
-    pub error: SimError,
-    /// Path of the written bundle (`None` when no `bundle_dir` was
-    /// configured or writing itself failed — then `write_error` says why).
-    pub bundle: Option<PathBuf>,
-    /// The I/O error that prevented bundle capture, if any.
-    pub write_error: Option<io::Error>,
-}
-
-impl fmt::Display for GuardedFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.error)?;
-        if let Some(dir) = &self.bundle {
-            write!(f, " (crash bundle: {})", dir.display())?;
-        }
-        Ok(())
-    }
-}
-
-/// Run a scenario with panic capture and crash-bundle writing.
-///
-/// Typed failures pass through as-is; panics (from anywhere inside the
-/// run) are caught and converted to [`SimError::Panic`]. Either way a
-/// bundle is written when `opts.bundle_dir` is set.
-// The Err variant is cold: it fires at most once per run, on failure.
-#[allow(clippy::result_large_err)]
-pub fn run_guarded(scenario: &Scenario, opts: &GuardOptions) -> Result<RunOutcome, GuardedFailure> {
-    run_guarded_with_progress(scenario, opts, |_| {})
-}
-
-/// [`run_guarded`] with a progress callback (composed with the
-/// force-panic hook; the callback fires first).
-#[allow(clippy::result_large_err)]
-pub fn run_guarded_with_progress<F>(
-    scenario: &Scenario,
-    opts: &GuardOptions,
-    mut on_progress: F,
-) -> Result<RunOutcome, GuardedFailure>
-where
-    F: FnMut(&Progress),
-{
-    let force_at = opts.force_panic_at;
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        try_run_with_progress(scenario, |p: &Progress| {
-            on_progress(p);
-            if let Some(t) = force_at {
-                if p.now >= t {
-                    panic!("forced panic at {} (GuardOptions::force_panic_at)", p.now);
-                }
-            }
-        })
-    }));
-    let error = match result {
-        Ok(Ok(outcome)) => return Ok(outcome),
-        Ok(Err(e)) => e,
-        Err(payload) => SimError::Panic {
-            message: panic_message(payload.as_ref()),
-        },
-    };
-    let (bundle, write_error) = match &opts.bundle_dir {
-        None => (None, None),
-        Some(dir) => match write_bundle(dir, scenario, &error) {
-            Ok(path) => (Some(path), None),
-            Err(e) => (None, Some(e)),
-        },
-    };
-    Err(GuardedFailure {
-        error,
-        bundle,
-        write_error,
-    })
-}
-
 /// Best-effort text of a panic payload (the common `&str`/`String` cases).
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -132,9 +57,14 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// The directory a failure of `scenario` bundles into under `base`.
+pub fn bundle_dir(base: &Path, scenario: &Scenario) -> PathBuf {
+    base.join(format!("crash-{:016x}", scenario_digest(scenario)))
+}
+
 /// Write a bundle for `error` under `base`, returning the bundle path.
 pub fn write_bundle(base: &Path, scenario: &Scenario, error: &SimError) -> io::Result<PathBuf> {
-    let dir = base.join(format!("crash-{:016x}", scenario_digest(scenario)));
+    let dir = bundle_dir(base, scenario);
     fs::create_dir_all(&dir)?;
     fs::write(dir.join("scenario.json"), scenario_to_json(scenario))?;
     fs::write(dir.join("fault_plan.json"), scenario.fault.to_json())?;
@@ -259,7 +189,10 @@ impl CrashBundle {
     /// the same typed error; externally-injected ones (a forced panic)
     /// replay clean and yield the outcome the crashed run never produced.
     pub fn replay(&self) -> Result<RunOutcome, SimError> {
-        crate::runner::try_run(&self.scenario)
+        let report = run(&self.scenario, RunOptions::default())?;
+        Ok(report
+            .outcome
+            .expect("a run without stop_at_checkpoint finishes"))
     }
 }
 
@@ -288,6 +221,17 @@ mod tests {
         s
     }
 
+    /// Run `s` under `guard`, returning the error and the bundle (if any).
+    fn guarded(s: &Scenario, guard: GuardOptions) -> (SimError, Option<PathBuf>) {
+        let dir = guard.bundle_dir.as_ref().map(|base| bundle_dir(base, s));
+        let opts = RunOptions {
+            guard,
+            ..RunOptions::default()
+        };
+        let error = run(s, opts).unwrap_err();
+        (error, dir.filter(|d| d.is_dir()))
+    }
+
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("ccsim-crash-test-{tag}-{}", std::process::id()));
@@ -297,7 +241,8 @@ mod tests {
 
     #[test]
     fn clean_run_passes_through() {
-        let out = run_guarded(&tiny(1), &GuardOptions::default()).unwrap();
+        let opts = RunOptions::default();
+        let out = run(&tiny(1), opts).unwrap().outcome.unwrap();
         assert!(out.events_processed > 0);
     }
 
@@ -308,10 +253,9 @@ mod tests {
             bundle_dir: Some(base.clone()),
             force_panic_at: Some(SimTime::from_secs(2)),
         };
-        let failure = run_guarded(&tiny(2), &opts).unwrap_err();
-        assert!(matches!(failure.error, SimError::Panic { .. }));
-        assert!(failure.write_error.is_none());
-        let bundle_dir = failure.bundle.unwrap();
+        let (error, bundle) = guarded(&tiny(2), opts);
+        assert!(matches!(error, SimError::Panic { .. }));
+        let bundle_dir = bundle.unwrap();
         assert!(bundle_dir.join("scenario.json").is_file());
         assert!(bundle_dir.join("fault_plan.json").is_file());
         assert!(bundle_dir.join("crash.json").is_file());
@@ -337,9 +281,9 @@ mod tests {
             force_panic_at: None,
         };
         let bad = Scenario::edge_scale().named("empty"); // no flows
-        let failure = run_guarded(&bad, &opts).unwrap_err();
-        assert!(matches!(failure.error, SimError::Scenario(_)));
-        let bundle = CrashBundle::load(&failure.bundle.unwrap()).unwrap();
+        let (error, bundle) = guarded(&bad, opts);
+        assert!(matches!(error, SimError::Scenario(_)));
+        let bundle = CrashBundle::load(&bundle.unwrap()).unwrap();
         assert_eq!(bundle.error_class, "scenario");
         // Deterministic failure: the replay reproduces it.
         assert!(bundle.replay().is_err());

@@ -1,16 +1,17 @@
 //! The typed run-failure hierarchy.
 //!
-//! [`SimError`] is what [`crate::runner::try_run`] returns instead of
-//! panicking: every way a run can fail — invalid configuration, an engine
-//! dispatch error, a watchdog invariant violation, or a caught panic from
-//! [`crate::crash::run_guarded`] — is a variant with enough structure for
-//! crash-bundle capture and for callers to branch on. The legacy
-//! panicking entry points ([`crate::runner::run`] and friends) are thin
-//! wrappers that format the same error.
+//! [`SimError`] is what [`crate::run`] returns instead of panicking: every
+//! way a run can fail — invalid configuration, an engine dispatch error, a
+//! watchdog invariant violation, a caught panic, or a checkpoint problem —
+//! is a variant with enough structure for crash-bundle capture and for
+//! callers to branch on. The panicking convenience [`Scenario::run`]
+//! formats the same error.
+//!
+//! [`Scenario::run`]: crate::Scenario::run
 
+use crate::checkpoint::ResumeError;
 use crate::scenario::ScenarioError;
 use ccsim_fault::WatchdogReport;
-use ccsim_resume::ResumeError;
 use ccsim_sim::EngineError;
 use ccsim_trace::RunTrace;
 use std::fmt;
@@ -31,12 +32,18 @@ pub enum SimError {
         report: WatchdogReport,
         trace: Option<RunTrace>,
     },
-    /// A panic caught by the crash guard ([`crate::crash::run_guarded`]).
+    /// A panic caught inside [`crate::run`].
     Panic { message: String },
     /// A checkpoint could not be taken, loaded, or applied (bad magic,
     /// version skew, truncation, digest mismatch, or a run that ended
     /// before the requested checkpoint instant).
     Resume(ResumeError),
+    /// The run failed with `error` and its crash bundle could not be
+    /// written.
+    Bundle {
+        error: Box<SimError>,
+        io: std::io::Error,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -49,6 +56,9 @@ impl fmt::Display for SimError {
             }
             SimError::Panic { message } => write!(f, "run panicked: {message}"),
             SimError::Resume(e) => write!(f, "checkpoint error: {e}"),
+            SimError::Bundle { error, io } => {
+                write!(f, "{error} (crash-bundle write failed: {io})")
+            }
         }
     }
 }
@@ -59,6 +69,7 @@ impl std::error::Error for SimError {
             SimError::Scenario(e) => Some(e),
             SimError::Engine(e) => Some(e),
             SimError::Resume(e) => Some(e),
+            SimError::Bundle { error, .. } => Some(error.as_ref()),
             _ => None,
         }
     }
@@ -91,6 +102,7 @@ impl SimError {
             SimError::Invariant { .. } => "invariant",
             SimError::Panic { .. } => "panic",
             SimError::Resume(_) => "resume",
+            SimError::Bundle { error, .. } => error.class(),
         }
     }
 
@@ -98,6 +110,7 @@ impl SimError {
     pub fn watchdog_report(&self) -> Option<&WatchdogReport> {
         match self {
             SimError::Invariant { report, .. } => Some(report),
+            SimError::Bundle { error, .. } => error.watchdog_report(),
             _ => None,
         }
     }

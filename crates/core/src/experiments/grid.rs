@@ -1,7 +1,15 @@
 //! Shared experiment parameter grids.
 
+use crate::outcome::RunOutcome;
+use crate::pool::{default_workers, map_ordered};
 use crate::scenario::{Fidelity, Scenario};
 use ccsim_sim::SimDuration;
+
+/// The default grid executor: every cell on the worker pool, one worker
+/// per core, outcomes in input order.
+pub fn run_parallel(scenarios: &[Scenario]) -> Vec<RunOutcome> {
+    map_ordered(scenarios.iter().collect(), default_workers(), Scenario::run)
+}
 
 /// Parameters shared by every experiment: which flow counts and RTTs to
 /// sweep, at what fidelity, and under which seed.

@@ -52,7 +52,7 @@ pub fn cell_scenario(
 
 /// Run the equal-split grid for the pair `(a, b)` over both settings.
 pub fn run_grid(cfg: &ExperimentConfig, a: CcaKind, b: CcaKind) -> Vec<InterRow> {
-    run_grid_with(cfg, a, b, crate::run_all)
+    run_grid_with(cfg, a, b, super::grid::run_parallel)
 }
 
 /// [`run_grid`] with a caller-supplied executor (e.g. the campaign

@@ -47,7 +47,7 @@ pub fn cell_scenario(skeleton: Scenario, cca: CcaKind, count: u32, rtt_ms: u64) 
 
 /// Run the intra-CCA grid for `cca` over both settings.
 pub fn run_grid(cfg: &ExperimentConfig, cca: CcaKind) -> Vec<IntraRow> {
-    run_grid_with(cfg, cca, crate::run_all)
+    run_grid_with(cfg, cca, super::grid::run_parallel)
 }
 
 /// [`run_grid`] with a caller-supplied executor (e.g. the campaign

@@ -80,7 +80,7 @@ pub fn cell_scenario(skeleton: Scenario, count: u32) -> Scenario {
 
 /// Run the full Mathis grid: every EdgeScale and CoreScale flow count.
 pub fn run_grid(cfg: &ExperimentConfig) -> Vec<MathisRow> {
-    run_grid_with(cfg, crate::run_all)
+    run_grid_with(cfg, super::grid::run_parallel)
 }
 
 /// [`run_grid`] with a caller-supplied executor (e.g. the campaign

@@ -49,7 +49,7 @@ pub fn cell_scenario(skeleton: Scenario, competitor: CcaKind, count: u32, rtt_ms
 
 /// Run the single-BBR grid against `competitor` over both settings.
 pub fn run_grid(cfg: &ExperimentConfig, competitor: CcaKind) -> Vec<SingleBbrRow> {
-    run_grid_with(cfg, competitor, crate::run_all)
+    run_grid_with(cfg, competitor, super::grid::run_parallel)
 }
 
 /// [`run_grid`] with a caller-supplied executor (e.g. the campaign

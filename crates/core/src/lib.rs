@@ -4,10 +4,17 @@
 //!
 //! * [`scenario`] — EdgeScale/CoreScale settings and flow-group builders.
 //! * [`build`] — dumbbell topology wiring.
-//! * [`runner`] — warm-up, snapshotting, the convergence stopping rule,
-//!   and window-scoped metric collection.
+//! * [`runner`] — the one entry point, [`run`]`(&Scenario, RunOptions)`:
+//!   warm-up, snapshotting, the convergence stopping rule, and
+//!   window-scoped metric collection, with progress, observation,
+//!   checkpoint/resume, the crash guard and live serving as options.
 //! * [`observe`] — self-observability: metric attachment, Prometheus
-//!   dumps, and per-run provenance manifests ([`run_observed`]).
+//!   dumps, and per-run provenance manifests.
+//! * [`checkpoint`] — the versioned, digest-stamped checkpoint container,
+//!   whole-run capture/restore, and the divergence bisector.
+//! * [`crash`] — crash bundles: capture on failure, load, replay.
+//! * [`pool`] — the ordered worker pool experiment grids and campaigns
+//!   run on.
 //! * [`outcome`] — run results with the paper's derived quantities (JFI,
 //!   group shares, Mathis observations, loss-to-halving ratios).
 //! * [`experiments`] — one function per table/figure of the paper, plus
@@ -23,88 +30,24 @@ pub mod error;
 pub mod experiments;
 pub mod observe;
 pub mod outcome;
+pub mod pool;
 pub mod report;
 pub mod runner;
 pub mod scenario;
 mod watchdog;
 
 pub use build::BuiltNetwork;
-pub use ccsim_resume::{Checkpoint, ResumeError};
 pub use ccsim_timeline::serve::{serve, LiveState, ServeHandle};
 pub use ccsim_timeline::{Timeline, TimelineConfig, TimelineSummary};
-pub use checkpoint::{bisect_divergence, slice_boundaries, BisectOutcome, DivergencePoint};
+pub use checkpoint::{
+    bisect_divergence, slice_boundaries, BisectOutcome, Checkpoint, DivergencePoint, ResumeError,
+};
 pub use codec::{scenario_from_json, scenario_from_value, scenario_to_json};
-pub use crash::{
-    panic_message, run_guarded, run_guarded_with_progress, BundleError, CrashBundle, GuardOptions,
-    GuardedFailure,
-};
+pub use crash::{BundleError, CrashBundle, GuardOptions};
 pub use error::SimError;
-pub use observe::{
-    run_observed, run_observed_with_progress, try_run_observed, try_run_observed_checkpointed,
-    try_run_observed_live, try_run_observed_with, try_run_observed_with_progress, ObserveOptions,
-    ObservedRun, RunInstruments,
-};
+pub use observe::ObserveOptions;
 pub use outcome::{BottleneckMetrics, PInterpretation, RunOutcome};
-pub use runner::{
-    run, run_to_checkpoint, run_with_progress, scenario_from_checkpoint, try_resume_run,
-    try_resume_run_with_progress, try_run, try_run_with_checkpoint, try_run_with_progress,
-    Progress,
-};
+pub use runner::{run, Progress, RunOptions, RunReport};
 pub use scenario::{
     ConvergenceRule, Fidelity, FlowGroup, Scenario, ScenarioError, Tuning, DEFAULT_MSS,
 };
-
-/// Run several scenarios in parallel, preserving input order.
-///
-/// Each scenario gets its own simulator on its own thread (the simulator is
-/// single-threaded by design; experiments parallelize across runs).
-pub fn run_all(scenarios: &[Scenario]) -> Vec<RunOutcome> {
-    run_all_with_progress(scenarios, |_, _| {})
-}
-
-/// [`run_all`] with a per-scenario completion callback.
-///
-/// `on_done(index, outcome)` fires from the worker thread that finished
-/// scenario `index`, as soon as it completes (not in input order). Long
-/// sweeps use this to report progress instead of going silent for minutes;
-/// the callback must be cheap and thread-safe.
-pub fn run_all_with_progress<F>(scenarios: &[Scenario], on_done: F) -> Vec<RunOutcome>
-where
-    F: Fn(usize, &RunOutcome) + Sync,
-{
-    if scenarios.len() <= 1 {
-        return scenarios
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let o = run(s);
-                on_done(i, &o);
-                o
-            })
-            .collect();
-    }
-    let mut results: Vec<Option<RunOutcome>> = Vec::new();
-    results.resize_with(scenarios.len(), || None);
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results_mutex = std::sync::Mutex::new(&mut results);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(scenarios.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= scenarios.len() {
-                    break;
-                }
-                let outcome = run(&scenarios[i]);
-                on_done(i, &outcome);
-                results_mutex.lock().unwrap()[i] = Some(outcome);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|o| o.expect("every scenario produced an outcome"))
-        .collect()
-}

@@ -1,15 +1,16 @@
 //! Self-observability for runs: metric attachment, harvesting, and the
 //! per-run artifacts (Prometheus dump + manifest).
 //!
-//! An *observed* run is an ordinary run with instruments attached:
-//! registry-backed metric handles on the bottleneck link and the senders,
-//! an event classifier on the engine, and wall-clock profiling spans
-//! around the runner's phases. Observation is **provably inert** — the
-//! enablement lives here, outside [`Scenario`], so the simulated
-//! configuration is bit-identical with and without it, and the metric
-//! primitives only touch their own atomics, never simulation state. The
-//! integration tests assert that a metrics-on run and a metrics-off run
-//! of the same (scenario, seed) produce identical [`RunOutcome`] digests.
+//! An *observed* run (`RunOptions::observe`) is an ordinary run with
+//! instruments attached: registry-backed metric handles on the bottleneck
+//! link and the senders, an event classifier on the engine, and
+//! wall-clock profiling spans around the runner's phases. Observation is
+//! **provably inert** — the enablement lives here, outside [`Scenario`],
+//! so the simulated configuration is bit-identical with and without it,
+//! and the metric primitives only touch their own atomics, never
+//! simulation state. The integration tests assert that a metrics-on run
+//! and a metrics-off run of the same (scenario, seed) produce identical
+//! [`RunOutcome`] digests.
 //!
 //! Metric families emitted per run:
 //!
@@ -34,15 +35,11 @@
 //! counters, `ccsim_mem_bytes{pool}` — see
 //! [`ccsim_telemetry::export_profile_into`]).
 
-use crate::error::SimError;
 use crate::outcome::RunOutcome;
-use crate::runner::{run_internal_ctl, Progress, RunCtl};
 use crate::scenario::Scenario;
 use ccsim_net::link::LinkMetrics;
 use ccsim_net::msg::Msg;
-use ccsim_resume::Checkpoint;
 use ccsim_sim::json::safe_rate;
-use ccsim_sim::SimTime;
 use ccsim_tcp::sender::SenderMetrics;
 use ccsim_telemetry::manifest::{fnv1a_64, ManifestBottleneck, ManifestTimeline, RunManifest};
 use ccsim_telemetry::prometheus::write_exposition;
@@ -120,14 +117,14 @@ impl ObserveOptions {
 /// live in, the profiler for phase spans, and the pre-registered handles
 /// the runner wires into components (handles are created up front so the
 /// hot path never performs a name lookup).
-pub struct RunInstruments {
+pub(crate) struct RunInstruments {
     /// The metric registry for this run.
-    pub registry: Registry,
+    pub(crate) registry: Registry,
     /// Wall-clock profiling spans (build / warmup / measure / collect /
     /// dispatch).
-    pub profiler: Profiler,
+    pub(crate) profiler: Profiler,
     /// Observation knobs this run was started with.
-    pub options: ObserveOptions,
+    pub(crate) options: ObserveOptions,
     pub(crate) events_kind: [Arc<Counter>; 3],
     pub(crate) pending_peak: Arc<Gauge>,
     pub(crate) events_per_sec: Arc<Gauge>,
@@ -151,12 +148,7 @@ pub struct RunInstruments {
 impl RunInstruments {
     /// Register every metric family an observed run emits and return the
     /// handles.
-    pub fn new() -> RunInstruments {
-        RunInstruments::with_options(ObserveOptions::default())
-    }
-
-    /// [`RunInstruments::new`] with explicit [`ObserveOptions`].
-    pub fn with_options(options: ObserveOptions) -> RunInstruments {
+    pub(crate) fn with_options(options: ObserveOptions) -> RunInstruments {
         let registry = Registry::new();
         let events_kind = EVENT_KINDS.map(|kind| {
             registry.counter_with(
@@ -225,27 +217,121 @@ impl RunInstruments {
             timeline: std::cell::RefCell::new(None),
         }
     }
-}
 
-impl Default for RunInstruments {
-    fn default() -> Self {
-        RunInstruments::new()
+    /// Publish the current Prometheus exposition and (when timeline
+    /// capture is on) the timeline JSONL into `live`. Only *reads*
+    /// instruments that are updated anyway, so serving is digest-inert
+    /// like every other observation layer.
+    pub(crate) fn publish(&self, live: &LiveState) {
+        live.publish_metrics(write_exposition(&self.registry));
+        if let Some(tl) = self.timeline.borrow().as_ref() {
+            live.publish_timeline(to_jsonl(tl));
+        }
     }
-}
 
-/// The result of an observed run: the outcome itself plus the two
-/// self-observability artifacts.
-#[derive(Debug)]
-pub struct ObservedRun {
-    /// The ordinary run result (identical to an unobserved run's).
-    pub outcome: RunOutcome,
-    /// Provenance manifest for this run.
-    pub manifest: RunManifest,
-    /// Prometheus text-exposition dump of every metric.
-    pub prometheus: String,
-    /// The captured timeline when [`ObserveOptions::timeline`] was set
-    /// (its summary is also embedded in the manifest).
-    pub timeline: Option<Timeline>,
+    /// The observed-run epilogue: stamp the throughput gauges, fold the
+    /// profile into the registry, render the Prometheus dump, and build
+    /// the run manifest. Returns `(manifest, prometheus, timeline)`.
+    pub(crate) fn finish(
+        self,
+        scenario: &Scenario,
+        outcome: &RunOutcome,
+        wall_secs: f64,
+        live: Option<&LiveState>,
+    ) -> (RunManifest, String, Option<Timeline>) {
+        let sim_secs = outcome.ended_at.as_secs_f64();
+        // Engine throughput over *dispatch* time only: the runner wraps every
+        // engine advance in a "dispatch" span, so build, snapshot
+        // bookkeeping, and collection no longer dilute the figure.
+        let dispatch_nanos = self
+            .profiler
+            .stats()
+            .iter()
+            .find(|(label, _)| *label == "dispatch")
+            .map_or(0, |(_, s)| s.total_nanos);
+        let dispatch_secs = dispatch_nanos as f64 / 1e9;
+        // `safe_rate` keeps both figures finite on zero-event or
+        // sub-microsecond runs (dispatch span rounds to 0 ns).
+        let events_per_sec = safe_rate(outcome.events_processed as f64, dispatch_secs);
+        let sim_wall_ratio = safe_rate(sim_secs, wall_secs);
+        self.events_per_sec.set(events_per_sec);
+        self.sim_wall_ratio.set(sim_wall_ratio);
+        self.profiler.export_into(&self.registry);
+
+        let mut profile = self.profile_out.borrow_mut().take();
+        if let Some(p) = &mut profile {
+            p.dispatch_nanos = dispatch_nanos;
+            ccsim_telemetry::export_profile_into(p, &self.registry);
+        }
+
+        let prometheus = write_exposition(&self.registry);
+        let timeline = self.timeline.borrow_mut().take();
+        let timeline_summary = timeline.as_ref().map(|tl| {
+            let s = tl.summary();
+            ManifestTimeline {
+                window_secs: s.window_secs,
+                rows: s.rows,
+                retained: s.retained,
+                evicted: s.evicted,
+                flows_sampled: s.flows_sampled,
+                series: s.series,
+                alpha: s.alpha,
+                time_to_alpha_fair: s.time_to_alpha_fair,
+                final_jfi: s.final_jfi,
+            }
+        });
+        if let Some(state) = live {
+            // Final publish so the endpoints show the completed run, not the
+            // last throttled snapshot.
+            state.publish_metrics(prometheus.clone());
+            if let Some(tl) = &timeline {
+                state.publish_timeline(to_jsonl(tl));
+            }
+        }
+        let events_by_kind = EVENT_KINDS
+            .iter()
+            .zip(&self.events_kind)
+            .map(|(kind, counter)| (kind.to_string(), counter.get()))
+            .collect();
+        let bottlenecks = outcome
+            .bottlenecks
+            .iter()
+            .map(|b| ManifestBottleneck {
+                link: b.link,
+                label: b.label.clone(),
+                utilization: b.utilization,
+                jfi: b.jfi,
+                loss_rate: b.loss_rate,
+                max_queue_bytes: b.max_queue_bytes,
+                ce_marked_pkts: b.ce_marked_pkts,
+            })
+            .collect();
+        let manifest = RunManifest {
+            scenario: scenario.name.clone(),
+            seed: scenario.seed,
+            flows: scenario.flow_count(),
+            config_digest: format!("{:016x}", scenario_digest(scenario)),
+            outcome_digest: format!("{:016x}", outcome.digest()),
+            sim_secs,
+            wall_secs,
+            dispatch_secs,
+            sim_wall_ratio,
+            events_processed: outcome.events_processed,
+            events_per_sec,
+            peak_queue_bytes: outcome.max_queue_bytes,
+            peak_pending_events: self.pending_peak.get() as u64,
+            trace_bytes: outcome.trace.as_ref().map_or(0, |t| t.wire_bytes()),
+            metric_bytes: prometheus.len() as u64,
+            metric_series: self.registry.len() as u64,
+            converged: outcome.converged,
+            checkpoint_bytes: self.checkpoint_bytes.get(),
+            events_by_kind,
+            bottlenecks,
+            profile,
+            timeline: timeline_summary,
+        };
+        (manifest, prometheus, timeline)
+    }
 }
 
 /// FNV-1a digest of a scenario's full configuration (over its `Debug`
@@ -254,237 +340,14 @@ pub fn scenario_digest(scenario: &Scenario) -> u64 {
     fnv1a_64(format!("{scenario:?}").as_bytes())
 }
 
-/// Run `scenario` with instruments attached and produce the outcome plus
-/// the Prometheus dump and run manifest. See the module docs for the
-/// inertness guarantee.
-///
-/// # Panics
-/// Panics on any [`SimError`] — [`try_run_observed`] reports it instead.
-pub fn run_observed(scenario: &Scenario) -> ObservedRun {
-    run_observed_with_progress(scenario, |_| {})
-}
-
-/// [`run_observed`], surfacing failures as typed errors.
-pub fn try_run_observed(scenario: &Scenario) -> Result<ObservedRun, SimError> {
-    try_run_observed_with_progress(scenario, |_| {})
-}
-
-/// [`run_observed`] with a progress callback, invoked after every
-/// simulated slice (warm-up and measurement) with the fraction of
-/// sim-time covered — feed it a
-/// [`RunProgress`](ccsim_telemetry::RunProgress) for a live stderr line.
-///
-/// # Panics
-/// Panics on any [`SimError`]; see [`try_run_observed_with_progress`].
-pub fn run_observed_with_progress<F>(scenario: &Scenario, on_progress: F) -> ObservedRun
-where
-    F: FnMut(&Progress),
-{
-    try_run_observed_with_progress(scenario, on_progress).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`try_run_observed`] with a progress callback.
-pub fn try_run_observed_with_progress<F>(
-    scenario: &Scenario,
-    on_progress: F,
-) -> Result<ObservedRun, SimError>
-where
-    F: FnMut(&Progress),
-{
-    try_run_observed_with(scenario, ObserveOptions::default(), on_progress)
-}
-
-/// The full-control entry point: an observed run with explicit
-/// [`ObserveOptions`] (`ccsim perf` and the campaign executor's
-/// `--profile` path come through here with `profile: true`).
-pub fn try_run_observed_with<F>(
-    scenario: &Scenario,
-    options: ObserveOptions,
-    on_progress: F,
-) -> Result<ObservedRun, SimError>
-where
-    F: FnMut(&Progress),
-{
-    let (obs, _) = try_run_observed_checkpointed(scenario, options, None, on_progress)?;
-    Ok(obs)
-}
-
-/// An observed run that also captures a checkpoint at the first slice
-/// boundary at or after `checkpoint_at` (when given). The checkpoint's
-/// encoded size is stamped into the manifest and, when profiling is on,
-/// into the `resume/checkpoint` memory pool.
-pub fn try_run_observed_checkpointed<F>(
-    scenario: &Scenario,
-    options: ObserveOptions,
-    checkpoint_at: Option<SimTime>,
-    on_progress: F,
-) -> Result<(ObservedRun, Option<Checkpoint>), SimError>
-where
-    F: FnMut(&Progress),
-{
-    try_run_observed_live(scenario, options, checkpoint_at, None, on_progress)
-}
-
-/// [`try_run_observed_checkpointed`] that additionally publishes live
-/// snapshots into `live` as the run progresses: the Prometheus exposition
-/// of the run's registry and (when timeline capture is on) the timeline
-/// JSONL, both re-rendered at most ~4×/sec of wall time. The publisher
-/// only *reads* instruments that are updated anyway, so serving is
-/// digest-inert like every other observation layer.
-pub fn try_run_observed_live<F>(
-    scenario: &Scenario,
-    options: ObserveOptions,
-    checkpoint_at: Option<SimTime>,
-    live: Option<Arc<LiveState>>,
-    mut on_progress: F,
-) -> Result<(ObservedRun, Option<Checkpoint>), SimError>
-where
-    F: FnMut(&Progress),
-{
-    let inst = RunInstruments::with_options(options);
-    let wall_start = std::time::Instant::now();
-    let mut checkpoint = None;
-    let outcome = {
-        let inst_ref = &inst;
-        let live_ref = live.as_deref();
-        let mut last_publish: Option<std::time::Instant> = None;
-        let mut wrapped = |p: &Progress| {
-            on_progress(p);
-            if let Some(state) = live_ref {
-                let wall_now = std::time::Instant::now();
-                let due = last_publish
-                    .is_none_or(|t| wall_now - t >= std::time::Duration::from_millis(250));
-                if due {
-                    last_publish = Some(wall_now);
-                    state.publish_metrics(write_exposition(&inst_ref.registry));
-                    if let Some(tl) = inst_ref.timeline.borrow().as_ref() {
-                        state.publish_timeline(to_jsonl(tl));
-                    }
-                }
-            }
-        };
-        run_internal_ctl(
-            scenario,
-            Some(&inst),
-            &mut wrapped,
-            RunCtl {
-                checkpoint_at,
-                ..RunCtl::default()
-            },
-            &mut checkpoint,
-        )?
-        .expect("non-stopping run always produces an outcome")
-    };
-    let wall_secs = wall_start.elapsed().as_secs_f64();
-
-    let sim_secs = outcome.ended_at.as_secs_f64();
-    // Engine throughput over *dispatch* time only: the runner wraps every
-    // engine advance in a "dispatch" span, so build, snapshot
-    // bookkeeping, and collection no longer dilute the figure.
-    let dispatch_nanos = inst
-        .profiler
-        .stats()
-        .iter()
-        .find(|(label, _)| *label == "dispatch")
-        .map_or(0, |(_, s)| s.total_nanos);
-    let dispatch_secs = dispatch_nanos as f64 / 1e9;
-    // `safe_rate` keeps both figures finite on zero-event or
-    // sub-microsecond runs (dispatch span rounds to 0 ns).
-    let events_per_sec = safe_rate(outcome.events_processed as f64, dispatch_secs);
-    let sim_wall_ratio = safe_rate(sim_secs, wall_secs);
-    inst.events_per_sec.set(events_per_sec);
-    inst.sim_wall_ratio.set(sim_wall_ratio);
-    inst.profiler.export_into(&inst.registry);
-
-    let mut profile = inst.profile_out.borrow_mut().take();
-    if let Some(p) = &mut profile {
-        p.dispatch_nanos = dispatch_nanos;
-        ccsim_telemetry::export_profile_into(p, &inst.registry);
-    }
-
-    let prometheus = write_exposition(&inst.registry);
-    let timeline = inst.timeline.borrow_mut().take();
-    let timeline_summary = timeline.as_ref().map(|tl| {
-        let s = tl.summary();
-        ManifestTimeline {
-            window_secs: s.window_secs,
-            rows: s.rows,
-            retained: s.retained,
-            evicted: s.evicted,
-            flows_sampled: s.flows_sampled,
-            series: s.series,
-            alpha: s.alpha,
-            time_to_alpha_fair: s.time_to_alpha_fair,
-            final_jfi: s.final_jfi,
-        }
-    });
-    if let Some(state) = &live {
-        // Final publish so the endpoints show the completed run, not the
-        // last throttled snapshot.
-        state.publish_metrics(prometheus.clone());
-        if let Some(tl) = &timeline {
-            state.publish_timeline(to_jsonl(tl));
-        }
-    }
-    let events_by_kind = EVENT_KINDS
-        .iter()
-        .zip(&inst.events_kind)
-        .map(|(kind, counter)| (kind.to_string(), counter.get()))
-        .collect();
-    let bottlenecks = outcome
-        .bottlenecks
-        .iter()
-        .map(|b| ManifestBottleneck {
-            link: b.link,
-            label: b.label.clone(),
-            utilization: b.utilization,
-            jfi: b.jfi,
-            loss_rate: b.loss_rate,
-            max_queue_bytes: b.max_queue_bytes,
-            ce_marked_pkts: b.ce_marked_pkts,
-        })
-        .collect();
-    let manifest = RunManifest {
-        scenario: scenario.name.clone(),
-        seed: scenario.seed,
-        flows: scenario.flow_count(),
-        config_digest: format!("{:016x}", scenario_digest(scenario)),
-        outcome_digest: format!("{:016x}", outcome.digest()),
-        sim_secs,
-        wall_secs,
-        dispatch_secs,
-        sim_wall_ratio,
-        events_processed: outcome.events_processed,
-        events_per_sec,
-        peak_queue_bytes: outcome.max_queue_bytes,
-        peak_pending_events: inst.pending_peak.get() as u64,
-        trace_bytes: outcome.trace.as_ref().map_or(0, |t| t.wire_bytes()),
-        metric_bytes: prometheus.len() as u64,
-        metric_series: inst.registry.len() as u64,
-        converged: outcome.converged,
-        checkpoint_bytes: inst.checkpoint_bytes.get(),
-        events_by_kind,
-        bottlenecks,
-        profile,
-        timeline: timeline_summary,
-    };
-    Ok((
-        ObservedRun {
-            outcome,
-            manifest,
-            prometheus,
-            timeline,
-        },
-        checkpoint,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crash::GuardOptions;
+    use crate::runner::{run, RunOptions};
     use crate::scenario::FlowGroup;
     use ccsim_cca::CcaKind;
-    use ccsim_sim::{Bandwidth, SimDuration};
+    use ccsim_sim::{Bandwidth, SimDuration, SimTime};
     use ccsim_telemetry::validate_exposition;
 
     fn tiny(seed: u64) -> Scenario {
@@ -505,9 +368,36 @@ mod tests {
         s
     }
 
+    /// The artifacts of an observed, finished run.
+    struct Observed {
+        outcome: RunOutcome,
+        manifest: RunManifest,
+        prometheus: String,
+        timeline: Option<Timeline>,
+    }
+
+    impl From<crate::runner::RunReport> for Observed {
+        fn from(r: crate::runner::RunReport) -> Observed {
+            Observed {
+                outcome: r.outcome.unwrap(),
+                manifest: r.manifest.unwrap(),
+                prometheus: r.prometheus.unwrap(),
+                timeline: r.timeline,
+            }
+        }
+    }
+
+    fn observed(s: &Scenario, options: ObserveOptions) -> Observed {
+        let opts = RunOptions {
+            observe: Some(options),
+            ..RunOptions::default()
+        };
+        run(s, opts).unwrap().into()
+    }
+
     #[test]
     fn observed_run_emits_valid_artifacts() {
-        let obs = run_observed(&tiny(5));
+        let obs = observed(&tiny(5), ObserveOptions::default());
         validate_exposition(&obs.prometheus).unwrap();
         assert!(obs.prometheus.contains("ccsim_events_total{kind=\"data\"}"));
         assert!(obs.prometheus.contains("ccsim_link_queue_bytes_bucket"));
@@ -528,7 +418,7 @@ mod tests {
 
     #[test]
     fn event_kind_counts_sum_to_events_processed() {
-        let obs = run_observed(&tiny(6));
+        let obs = observed(&tiny(6), ObserveOptions::default());
         let total: u64 = EVENT_KINDS
             .iter()
             .map(|kind| {
@@ -544,16 +434,81 @@ mod tests {
         assert_eq!(total, obs.outcome.events_processed);
     }
 
+    /// Every composition of run options — including pairs that used to
+    /// be separate, non-composing entry points — reproduces the plain
+    /// run byte for byte.
     #[test]
     fn metrics_are_inert_same_outcome_digest() {
-        let plain = crate::runner::run(&tiny(7));
-        let observed = run_observed(&tiny(7));
-        assert_eq!(plain.to_json(), observed.outcome.to_json());
-        assert_eq!(plain.digest(), observed.outcome.digest());
-        assert_eq!(
-            format!("{:016x}", plain.digest()),
-            observed.manifest.outcome_digest
+        let s = tiny(7);
+        let plain = s.run();
+        let bundle_dir = std::env::temp_dir().join(format!("ccsim-compose-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&bundle_dir);
+        let checkpointed = run(
+            &s,
+            RunOptions {
+                observe: Some(ObserveOptions::default()),
+                checkpoint_at: Some(SimTime::from_secs(3)),
+                guard: GuardOptions {
+                    bundle_dir: Some(bundle_dir.clone()),
+                    force_panic_at: None,
+                },
+                ..RunOptions::default()
+            },
         );
+        let cp = checkpointed.as_ref().unwrap().checkpoint.clone().unwrap();
+        let resumed = cp.scenario().unwrap();
+        let reports = [
+            ("plain", run(&s, RunOptions::default())),
+            (
+                "observed",
+                run(
+                    &s,
+                    RunOptions {
+                        observe: Some(ObserveOptions::default()),
+                        ..RunOptions::default()
+                    },
+                ),
+            ),
+            (
+                "observed+profile+timeline",
+                run(
+                    &s,
+                    RunOptions {
+                        observe: Some(ObserveOptions {
+                            profile: true,
+                            timeline: Some(TimelineConfig::default()),
+                            ..ObserveOptions::default()
+                        }),
+                        ..RunOptions::default()
+                    },
+                ),
+            ),
+            ("observed+checkpoint+guard", checkpointed),
+            (
+                "resumed",
+                run(
+                    &resumed,
+                    RunOptions {
+                        resume_from: Some(&cp),
+                        ..RunOptions::default()
+                    },
+                ),
+            ),
+        ];
+        for (name, report) in reports {
+            let report = report.unwrap_or_else(|e| panic!("{name}: {e}"));
+            let outcome = report.outcome.as_ref().unwrap();
+            assert_eq!(plain.to_json(), outcome.to_json(), "{name}");
+            assert_eq!(plain.digest(), outcome.digest(), "{name}");
+            if let Some(m) = &report.manifest {
+                assert_eq!(
+                    format!("{:016x}", plain.digest()),
+                    m.outcome_digest,
+                    "{name}"
+                );
+            }
+        }
+        assert!(!bundle_dir.exists(), "a clean guarded run writes no bundle");
     }
 
     #[test]
@@ -564,7 +519,7 @@ mod tests {
 
     #[test]
     fn observed_manifest_carries_per_kind_event_counts() {
-        let obs = run_observed(&tiny(8));
+        let obs = observed(&tiny(8), ObserveOptions::default());
         let m = &obs.manifest;
         assert_eq!(m.events_by_kind.len(), EVENT_KINDS.len());
         let total: u64 = m.events_by_kind.iter().map(|(_, c)| c).sum();
@@ -579,8 +534,8 @@ mod tests {
 
     #[test]
     fn profiling_is_digest_inert_and_fills_the_profile() {
-        let plain = run_observed(&tiny(9));
-        let profiled = try_run_observed_with(&tiny(9), ObserveOptions::profiled(), |_| {}).unwrap();
+        let plain = observed(&tiny(9), ObserveOptions::default());
+        let profiled = observed(&tiny(9), ObserveOptions::profiled());
         // Byte-identical outcome with the profiler attached.
         assert_eq!(plain.outcome.to_json(), profiled.outcome.to_json());
         assert_eq!(
@@ -637,9 +592,8 @@ mod tests {
 
     #[test]
     fn timeline_is_digest_inert_and_fills_the_summary() {
-        let plain = run_observed(&tiny(11));
-        let timelined =
-            try_run_observed_with(&tiny(11), ObserveOptions::timelined(), |_| {}).unwrap();
+        let plain = observed(&tiny(11), ObserveOptions::default());
+        let timelined = observed(&tiny(11), ObserveOptions::timelined());
         // Byte-identical outcome with the sampler attached.
         assert_eq!(plain.outcome.to_json(), timelined.outcome.to_json());
         assert_eq!(
@@ -670,16 +624,13 @@ mod tests {
 
     #[test]
     fn live_serving_publishes_both_endpoints() {
-        use std::sync::Arc;
         let live = Arc::new(LiveState::new());
-        let (obs, _) = try_run_observed_live(
-            &tiny(12),
-            ObserveOptions::timelined(),
-            None,
-            Some(live.clone()),
-            |_| {},
-        )
-        .unwrap();
+        let opts = RunOptions {
+            observe: Some(ObserveOptions::timelined()),
+            live: Some(live.clone()),
+            ..RunOptions::default()
+        };
+        let obs = Observed::from(run(&tiny(12), opts).unwrap());
         // The final publish leaves the completed artifacts behind.
         assert_eq!(live.metrics_snapshot(), obs.prometheus);
         let jsonl = live.timeline_snapshot();
@@ -692,8 +643,8 @@ mod tests {
 
     #[test]
     fn same_seed_profiles_are_identical_after_normalization() {
-        let a = try_run_observed_with(&tiny(10), ObserveOptions::profiled(), |_| {}).unwrap();
-        let b = try_run_observed_with(&tiny(10), ObserveOptions::profiled(), |_| {}).unwrap();
+        let a = observed(&tiny(10), ObserveOptions::profiled());
+        let b = observed(&tiny(10), ObserveOptions::profiled());
         let (pa, pb) = (
             a.manifest.profile.as_ref().unwrap().normalized(),
             b.manifest.profile.as_ref().unwrap().normalized(),

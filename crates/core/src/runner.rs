@@ -10,23 +10,33 @@
 //! 4. the run stops at the horizon, or earlier once the headline metrics
 //!    (aggregate throughput *and* JFI) change < tolerance between
 //!    consecutive windows — the paper's "< 1% over 20 minutes" rule.
+//!
+//! [`run`] is the only entry point; [`RunOptions`] layers progress,
+//! observation, checkpoint/resume, the crash guard and live serving onto
+//! the same loop.
 
 use crate::build::BuiltNetwork;
-use crate::checkpoint::{self, HarnessRef, RestoredHarness};
+use crate::checkpoint::{self, Checkpoint, HarnessRef, RestoredHarness, ResumeError};
+use crate::crash::{self, panic_message, GuardOptions};
 use crate::error::SimError;
-use crate::observe::{classify_msg, RunInstruments, COMPONENT_CLASSES, EVENT_KINDS};
+use crate::observe::{
+    classify_msg, ObserveOptions, RunInstruments, COMPONENT_CLASSES, EVENT_KINDS,
+};
 use crate::outcome::{BottleneckMetrics, RunOutcome};
 use crate::scenario::Scenario;
 use crate::watchdog::Watchdog;
 use ccsim_analysis::{jain_fairness_index, jain_fairness_subset};
 use ccsim_net::link::{Link, LinkStats};
 use ccsim_net::AqmKind;
-use ccsim_resume::{Checkpoint, ResumeError};
 use ccsim_sim::{SimTime, VecPool};
 use ccsim_tcp::sender::Sender;
+use ccsim_telemetry::manifest::RunManifest;
 use ccsim_telemetry::{FlowMetrics, ThroughputTracker};
+use ccsim_timeline::serve::LiveState;
 use ccsim_timeline::{FlowPoint, LinkPoint, Timeline};
 use ccsim_trace::{RunTrace, TraceMeta};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 /// Numeric sender-counter baseline captured at the warm-up boundary.
 #[derive(Debug, Clone, Copy, Default)]
@@ -57,156 +67,163 @@ pub struct Progress {
     pub events_pending: usize,
 }
 
-impl Scenario {
-    /// Convenience: run this scenario to completion (see [`run`]).
-    pub fn run(&self) -> RunOutcome {
-        run(self)
-    }
-
-    /// Convenience: [`try_run`] as a method.
-    pub fn try_run(&self) -> Result<RunOutcome, SimError> {
-        try_run(self)
-    }
-}
-
-/// Run a scenario to completion and collect its outcome.
-///
-/// # Panics
-/// Panics on any [`SimError`] (invalid scenario, engine error, watchdog
-/// violation) — [`try_run`] reports the error instead.
-pub fn run(scenario: &Scenario) -> RunOutcome {
-    try_run(scenario).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Run a scenario to completion, surfacing failures as typed errors.
-pub fn try_run(scenario: &Scenario) -> Result<RunOutcome, SimError> {
-    run_internal(scenario, None, &mut |_| {})
-}
-
-/// [`run`] with a progress callback, invoked after every simulated slice
-/// with the fraction of sim-time covered.
-///
-/// # Panics
-/// Panics on any [`SimError`]; see [`try_run_with_progress`].
-pub fn run_with_progress<F>(scenario: &Scenario, on_progress: F) -> RunOutcome
-where
-    F: FnMut(&Progress),
-{
-    try_run_with_progress(scenario, on_progress).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`try_run`] with a progress callback.
-pub fn try_run_with_progress<F>(
-    scenario: &Scenario,
-    mut on_progress: F,
-) -> Result<RunOutcome, SimError>
-where
-    F: FnMut(&Progress),
-{
-    run_internal(scenario, None, &mut on_progress)
-}
-
-/// Checkpoint/resume control for one run. The default is a plain
-/// start-to-finish run.
+/// Everything a run can be asked to do beyond simulating its scenario.
+/// Every field composes with every other; the default is a plain,
+/// unobserved start-to-finish run.
 #[derive(Default)]
-pub(crate) struct RunCtl<'a> {
-    /// Restore this checkpoint into the freshly built network instead of
-    /// starting from `t = 0`. The network must have been built from the
-    /// checkpoint's embedded scenario.
-    pub(crate) resume_from: Option<&'a Checkpoint>,
+pub struct RunOptions<'a> {
+    /// Called after every simulated slice (warm-up included).
+    pub progress: Option<&'a mut dyn FnMut(&Progress)>,
+    /// Attach instruments: the report then carries the run manifest, the
+    /// Prometheus dump and, when configured, the timeline. Digest-inert.
+    pub observe: Option<ObserveOptions>,
+    /// Crash-bundle directory and the forced-panic test hook.
+    pub guard: GuardOptions,
     /// Capture a checkpoint at the first slice boundary at or after this
     /// instant (at most one per run).
-    pub(crate) checkpoint_at: Option<SimTime>,
-    /// Return immediately after capturing instead of finishing the run.
-    pub(crate) stop_at_checkpoint: bool,
+    pub checkpoint_at: Option<SimTime>,
+    /// Return right after capturing the checkpoint instead of finishing
+    /// the run. A run that ends before `checkpoint_at` is then a
+    /// [`SimError::Resume`].
+    pub stop_at_checkpoint: bool,
+    /// Restore this checkpoint into the freshly built network instead of
+    /// starting from `t = 0`. The scenario must be the checkpoint's own
+    /// ([`Checkpoint::scenario`]).
+    pub resume_from: Option<&'a Checkpoint>,
+    /// Publish the Prometheus exposition and timeline JSONL here as the
+    /// run progresses (at most ~4×/sec of wall time, plus a final
+    /// publish). Implies `observe` (with default options when unset).
+    pub live: Option<Arc<LiveState>>,
 }
 
-/// Run `scenario` just far enough to capture a checkpoint at the first
-/// slice boundary at or after `at`, then stop. Errors with
-/// [`SimError::Resume`] if the run ends (horizon or convergence) before
-/// reaching `at`.
-pub fn run_to_checkpoint(scenario: &Scenario, at: SimTime) -> Result<Checkpoint, SimError> {
-    let mut out = None;
-    let finished = run_internal_ctl(
-        scenario,
-        None,
-        &mut |_| {},
-        RunCtl {
-            checkpoint_at: Some(at),
-            stop_at_checkpoint: true,
-            ..RunCtl::default()
+/// What a run produced.
+#[derive(Debug)]
+pub struct RunReport {
+    /// The finished run. `None` only for a `stop_at_checkpoint` run.
+    pub outcome: Option<RunOutcome>,
+    /// The checkpoint taken at `checkpoint_at`, when the run reached it.
+    pub checkpoint: Option<Checkpoint>,
+    /// Provenance manifest of an observed, finished run.
+    pub manifest: Option<RunManifest>,
+    /// Prometheus text exposition of an observed, finished run.
+    pub prometheus: Option<String>,
+    /// The captured timeline, when [`ObserveOptions::timeline`] was set.
+    pub timeline: Option<Timeline>,
+}
+
+impl Scenario {
+    /// Convenience: run this scenario to completion with no options.
+    ///
+    /// # Panics
+    /// Panics on any [`SimError`] (invalid scenario, engine error, watchdog
+    /// violation) — [`run`] reports the error instead.
+    pub fn run(&self) -> RunOutcome {
+        match run(self, RunOptions::default()) {
+            Ok(report) => report
+                .outcome
+                .expect("a run without stop_at_checkpoint finishes"),
+            Err(e) => panic!("{e}"),
+        }
+    }
+}
+
+/// Run a scenario: the one entry point behind every CLI subcommand, the
+/// campaign executor, replay and bisect.
+///
+/// Panics from anywhere inside the run are caught and returned as
+/// [`SimError::Panic`]; on any failure a crash bundle is written when
+/// `opts.guard.bundle_dir` is set (see [`crate::crash`]). When the bundle
+/// cannot be written the error comes back as [`SimError::Bundle`].
+pub fn run(scenario: &Scenario, mut opts: RunOptions<'_>) -> Result<RunReport, SimError> {
+    let guard = std::mem::take(&mut opts.guard);
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        run_unguarded(scenario, opts, guard.force_panic_at)
+    }))
+    .unwrap_or_else(|payload| {
+        Err(SimError::Panic {
+            message: panic_message(payload.as_ref()),
+        })
+    });
+    match (result, &guard.bundle_dir) {
+        (Err(error), Some(dir)) => match crash::write_bundle(dir, scenario, &error) {
+            Ok(_) => Err(error),
+            Err(io) => Err(SimError::Bundle {
+                error: Box::new(error),
+                io,
+            }),
         },
-        &mut out,
-    )?;
-    debug_assert!(finished.is_none() || out.is_none());
-    out.ok_or_else(|| {
-        SimError::Resume(ResumeError::Corrupt(format!(
-            "run ended at {} before the requested checkpoint instant {at}",
-            finished.map_or(SimTime::ZERO, |o| o.ended_at)
-        )))
-    })
+        (result, _) => result,
+    }
 }
 
-/// Run `scenario` to completion, capturing a checkpoint en route at the
-/// first slice boundary at or after `at`. The checkpoint is `None` when
-/// the run ended (converged) before reaching `at`.
-pub fn try_run_with_checkpoint(
+/// [`run`] without the panic guard: the harness loop plus, for observed
+/// runs, the manifest/exposition epilogue.
+fn run_unguarded(
     scenario: &Scenario,
-    at: SimTime,
-) -> Result<(RunOutcome, Option<Checkpoint>), SimError> {
-    let mut out = None;
-    let outcome = run_internal_ctl(
+    mut opts: RunOptions<'_>,
+    force_panic_at: Option<SimTime>,
+) -> Result<RunReport, SimError> {
+    if let Some(cp) = opts.resume_from {
+        if crate::codec::scenario_to_json(scenario) != cp.scenario_json {
+            return Err(SimError::Resume(ResumeError::Corrupt(
+                "the scenario to resume is not the one the checkpoint was taken from".into(),
+            )));
+        }
+    }
+    let observe = opts
+        .observe
+        .or_else(|| opts.live.is_some().then(ObserveOptions::default));
+    let inst = observe.map(RunInstruments::with_options);
+    let wall_start = std::time::Instant::now();
+    let mut progress = opts.progress.take();
+    let live = opts.live.take();
+    let mut last_publish: Option<std::time::Instant> = None;
+    let mut on_progress = |p: &Progress| {
+        if let Some(f) = progress.as_mut() {
+            f(p);
+        }
+        if let (Some(state), Some(inst)) = (&live, &inst) {
+            let wall_now = std::time::Instant::now();
+            if last_publish.is_none_or(|t| wall_now - t >= std::time::Duration::from_millis(250)) {
+                last_publish = Some(wall_now);
+                inst.publish(state);
+            }
+        }
+        if force_panic_at.is_some_and(|t| p.now >= t) {
+            panic!("forced panic at {} (GuardOptions::force_panic_at)", p.now);
+        }
+    };
+    let mut checkpoint = None;
+    let outcome = drive(
         scenario,
-        None,
-        &mut |_| {},
-        RunCtl {
-            checkpoint_at: Some(at),
-            ..RunCtl::default()
-        },
-        &mut out,
-    )?
-    .expect("non-stopping run always produces an outcome");
-    Ok((outcome, out))
-}
-
-/// Resume a run from a checkpoint and drive it to completion. The
-/// scenario is rebuilt from the JSON embedded in the checkpoint, so the
-/// outcome is byte-identical to the donor run's (differential tests
-/// assert this for every CCA × topology × fault-plan combination).
-pub fn try_resume_run(cp: &Checkpoint) -> Result<RunOutcome, SimError> {
-    try_resume_run_with_progress(cp, |_| {})
-}
-
-/// [`try_resume_run`] with a progress callback.
-pub fn try_resume_run_with_progress<F>(
-    cp: &Checkpoint,
-    mut on_progress: F,
-) -> Result<RunOutcome, SimError>
-where
-    F: FnMut(&Progress),
-{
-    let scenario = scenario_from_checkpoint(cp)?;
-    let outcome = run_internal_ctl(
-        &scenario,
-        None,
+        inst.as_ref(),
         &mut on_progress,
-        RunCtl {
-            resume_from: Some(cp),
-            ..RunCtl::default()
-        },
-        &mut None,
-    )?
-    .expect("non-stopping run always produces an outcome");
-    Ok(outcome)
-}
-
-/// Parse the scenario a checkpoint was taken from.
-pub fn scenario_from_checkpoint(cp: &Checkpoint) -> Result<Scenario, SimError> {
-    crate::codec::scenario_from_json(&cp.scenario_json).map_err(|e| {
-        SimError::Resume(ResumeError::Corrupt(format!(
-            "embedded scenario does not parse: {e}"
-        )))
-    })
+        &opts,
+        &mut checkpoint,
+    )?;
+    if opts.stop_at_checkpoint && checkpoint.is_none() {
+        return Err(SimError::Resume(ResumeError::Corrupt(format!(
+            "run ended at {} before the requested checkpoint instant {}",
+            outcome.map_or(SimTime::ZERO, |o| o.ended_at),
+            opts.checkpoint_at.unwrap_or(SimTime::ZERO)
+        ))));
+    }
+    let mut report = RunReport {
+        outcome,
+        checkpoint,
+        manifest: None,
+        prometheus: None,
+        timeline: None,
+    };
+    if let (Some(inst), Some(outcome)) = (inst, &report.outcome) {
+        let wall_secs = wall_start.elapsed().as_secs_f64();
+        let (manifest, prometheus, timeline) =
+            inst.finish(scenario, outcome, wall_secs, live.as_deref());
+        report.manifest = Some(manifest);
+        report.prometheus = Some(prometheus);
+        report.timeline = timeline;
+    }
+    Ok(report)
 }
 
 /// Advance the simulation to `until`, classifying events per kind when
@@ -254,7 +271,7 @@ fn comp_class_table(net: &BuiltNetwork) -> Vec<u8> {
 
 /// Harvest the engine's profiling state into a [`ccsim_prof::Profile`]
 /// (collection phase, while the network is still assembled). The
-/// `dispatch_nanos` field is stamped by the observed-run wrapper, which
+/// `dispatch_nanos` field is stamped by `RunInstruments::finish`, which
 /// owns the dispatch span totals.
 fn harvest_profile(
     net: &mut BuiltNetwork,
@@ -426,28 +443,17 @@ fn drain_trace(net: &mut BuiltNetwork, scenario: &Scenario) -> Option<RunTrace> 
     Some(RunTrace::assemble(meta, parts))
 }
 
-/// The single implementation behind [`run`], [`run_with_progress`], and
-/// [`crate::observe::run_observed`]. When `inst` is present, metric
+/// The harness loop behind [`run`]. When `inst` is present, metric
 /// handles are attached to the engine/link/senders and runner phases are
 /// profiled; the simulated event sequence is identical either way (the
-/// instruments only observe).
-pub(crate) fn run_internal(
+/// instruments only observe). Returns `Ok(None)` iff
+/// `opts.stop_at_checkpoint` ended the run right after capture; a
+/// captured checkpoint lands in `checkpoint_out`.
+fn drive(
     scenario: &Scenario,
     inst: Option<&RunInstruments>,
     on_progress: &mut dyn FnMut(&Progress),
-) -> Result<RunOutcome, SimError> {
-    let outcome = run_internal_ctl(scenario, inst, on_progress, RunCtl::default(), &mut None)?;
-    Ok(outcome.expect("non-stopping run always produces an outcome"))
-}
-
-/// [`run_internal`] with checkpoint/resume control. Returns `Ok(None)`
-/// iff `ctl.stop_at_checkpoint` ended the run right after capture; a
-/// captured checkpoint (if any) lands in `checkpoint_out`.
-pub(crate) fn run_internal_ctl(
-    scenario: &Scenario,
-    inst: Option<&RunInstruments>,
-    on_progress: &mut dyn FnMut(&Progress),
-    ctl: RunCtl<'_>,
+    opts: &RunOptions<'_>,
     checkpoint_out: &mut Option<Checkpoint>,
 ) -> Result<Option<RunOutcome>, SimError> {
     let build_span = inst.map(|i| i.profiler.span("build"));
@@ -482,7 +488,7 @@ pub(crate) fn run_internal_ctl(
     // holds only live state (clock, queues, windows, RNG streams, harness
     // cursors).
     let mut restored = None;
-    if let Some(cp) = ctl.resume_from {
+    if let Some(cp) = opts.resume_from {
         restored = Some(
             checkpoint::restore_into(&mut net, &mut watchdog, &cp.body)
                 .map_err(SimError::Resume)?,
@@ -553,13 +559,13 @@ pub(crate) fn run_internal_ctl(
                             report: watchdog.into_report(),
                         });
                     }
-                    if checkpoint_due(&ctl, checkpoint_out, t) {
+                    if checkpoint_due(opts, checkpoint_out, t) {
                         store_checkpoint(
                             checkpoint::capture(scenario, &net, &watchdog, HarnessRef::Warmup),
                             checkpoint_out,
                             inst,
                         );
-                        if ctl.stop_at_checkpoint {
+                        if opts.stop_at_checkpoint {
                             return Ok(None);
                         }
                     }
@@ -650,7 +656,7 @@ pub(crate) fn run_internal_ctl(
         // Capture *after* the convergence check: a boundary where the run
         // stops never yields a checkpoint, so a resumed run re-evaluates
         // convergence at exactly the boundaries the donor run did.
-        if checkpoint_due(&ctl, checkpoint_out, now) {
+        if checkpoint_due(opts, checkpoint_out, now) {
             store_checkpoint(
                 checkpoint::capture(
                     scenario,
@@ -664,7 +670,7 @@ pub(crate) fn run_internal_ctl(
                 checkpoint_out,
                 inst,
             );
-            if ctl.stop_at_checkpoint {
+            if opts.stop_at_checkpoint {
                 return Ok(None);
             }
         }
@@ -799,8 +805,8 @@ pub(crate) fn run_internal_ctl(
 
 /// True when a requested checkpoint hasn't been taken yet and `now` has
 /// reached its instant.
-fn checkpoint_due(ctl: &RunCtl<'_>, out: &Option<Checkpoint>, now: SimTime) -> bool {
-    out.is_none() && ctl.checkpoint_at.is_some_and(|at| now >= at)
+fn checkpoint_due(opts: &RunOptions<'_>, out: &Option<Checkpoint>, now: SimTime) -> bool {
+    out.is_none() && opts.checkpoint_at.is_some_and(|at| now >= at)
 }
 
 /// Stash a captured checkpoint, gauging its encoded size for the
@@ -844,7 +850,7 @@ mod tests {
 
     #[test]
     fn reno_flows_fill_the_link_and_share_fairly() {
-        let o = run(&small(1));
+        let o = small(1).run();
         // High utilization: loss-based flows with a 1-BDP buffer.
         assert!(o.utilization() > 0.85, "utilization = {}", o.utilization());
         assert!(o.utilization() <= 1.01);
@@ -859,8 +865,8 @@ mod tests {
 
     #[test]
     fn outcome_is_deterministic_for_a_seed() {
-        let a = run(&small(7));
-        let b = run(&small(7));
+        let a = small(7).run();
+        let b = small(7).run();
         assert_eq!(a.throughputs(), b.throughputs());
         assert_eq!(a.events_processed, b.events_processed);
         assert_eq!(a.aggregate_loss_rate, b.aggregate_loss_rate);
@@ -868,8 +874,8 @@ mod tests {
 
     #[test]
     fn different_seeds_differ_but_agree_in_aggregate() {
-        let a = run(&small(1));
-        let b = run(&small(2));
+        let a = small(1).run();
+        let b = small(2).run();
         assert_ne!(a.events_processed, b.events_processed);
         // Aggregate throughput is a physical property: within a few %.
         let ra = a.aggregate_throughput_mbps();
@@ -885,14 +891,14 @@ mod tests {
             window_snapshots: 5,
             tolerance: 0.05,
         });
-        let o = run(&s);
+        let o = s.run();
         assert!(o.converged, "steady flows should converge");
         assert!(o.ended_at < SimTime::ZERO + s.warmup + s.duration);
     }
 
     #[test]
     fn window_counters_exclude_warmup() {
-        let o = run(&small(4));
+        let o = small(4).run();
         for f in &o.flows {
             // Throughput implied by delivered bytes must match the field.
             let implied = f.delivered_bytes as f64 / o.measured_for.as_secs_f64();

@@ -523,6 +523,7 @@ impl Scenario {
             return Err(ScenarioError::HorizonOverflow);
         }
         self.fault.validate(self.horizon_end())?;
+        self.topology.check()?;
         self.topology_description().validate()?;
         Ok(())
     }

@@ -42,9 +42,10 @@ impl EventCells {
         self.counts[self.cell(class, kind)]
     }
 
-    /// Total events across all cells.
+    /// Total events across all cells (saturating: a decoded profile may
+    /// carry any counts).
     pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
+        saturating_sum(self.counts.iter().copied())
     }
 
     /// Event counts per kind, summed over classes, in kind order.
@@ -53,7 +54,7 @@ impl EventCells {
             .iter()
             .enumerate()
             .map(|(k, name)| {
-                let n = (0..self.classes.len()).map(|c| self.count(c, k)).sum();
+                let n = saturating_sum((0..self.classes.len()).map(|c| self.count(c, k)));
                 (name.clone(), n)
             })
             .collect()
@@ -65,9 +66,7 @@ impl EventCells {
             .iter()
             .enumerate()
             .map(|(c, name)| {
-                let n = (0..self.kinds.len())
-                    .map(|k| self.nanos[self.cell(c, k)])
-                    .sum();
+                let n = saturating_sum((0..self.kinds.len()).map(|k| self.nanos[self.cell(c, k)]));
                 (name.clone(), n)
             })
             .collect()
@@ -149,7 +148,7 @@ impl Profile {
 
     /// Total accounted bytes across all memory gauges.
     pub fn memory_total_bytes(&self) -> u64 {
-        self.memory.iter().map(|g| g.bytes).sum()
+        saturating_sum(self.memory.iter().map(|g| g.bytes))
     }
 
     /// Accounted bytes per flow (`None` with zero flows).
@@ -358,7 +357,7 @@ impl Profile {
     pub fn render_table(&self) -> String {
         let mut out = String::with_capacity(1024);
         let total_events = self.events.total().max(1);
-        let total_nanos: u64 = self.events.nanos.iter().sum();
+        let total_nanos = saturating_sum(self.events.nanos.iter().copied());
         let _ = writeln!(
             out,
             "{:<10} {:>6} {:>14} {:>8} {:>12} {:>8}",
@@ -438,6 +437,11 @@ impl Profile {
         }
         out
     }
+}
+
+/// Sum that pins at `u64::MAX` instead of overflowing.
+fn saturating_sum(values: impl Iterator<Item = u64>) -> u64 {
+    values.fold(0, u64::saturating_add)
 }
 
 #[cfg(test)]
@@ -564,5 +568,31 @@ mod tests {
         assert!(t.contains("tcp/senders"));
         assert!(t.contains("3072 per flow"));
         assert!(t.contains("106000 events/s") || t.contains("events/s"));
+    }
+
+    #[test]
+    fn saturated_foreign_profile_renders_without_overflow() {
+        let mut p = sample();
+        p.events.counts.fill(u64::MAX);
+        p.events.nanos.fill(u64::MAX);
+        for g in &mut p.memory {
+            g.bytes = u64::MAX;
+        }
+        let back = Profile::from_json(&p.to_json()).unwrap();
+        assert_eq!(back.events.total(), u64::MAX);
+        assert_eq!(back.memory_total_bytes(), u64::MAX);
+        assert!(back
+            .events
+            .per_kind_counts()
+            .iter()
+            .all(|&(_, n)| n == u64::MAX));
+        assert!(back
+            .events
+            .per_class_nanos()
+            .iter()
+            .all(|&(_, n)| n == u64::MAX));
+        assert!(back
+            .render_table()
+            .contains("total events 18446744073709551615"));
     }
 }

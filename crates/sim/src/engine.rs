@@ -190,8 +190,9 @@ impl<'a, M> Ctx<'a, M> {
 ///
 /// Cell **counts** are exact and deterministic given the event stream.
 /// Wall time is attributed by strided sampling: every `stride`-th
-/// classified event takes an `Instant` and charges the elapsed time since
-/// the previous sample to its own cell. *Which* events are sampled is a
+/// classified event takes an `Instant` *before* its handler runs, and the
+/// elapsed time since the previous sample is charged to the previously
+/// sampled event's cell — the interval began with that event's handler. *Which* events are sampled is a
 /// pure function of the event stream, so sample counts are deterministic
 /// too — only the nanosecond values vary run to run.
 struct EngineProf {
@@ -208,7 +209,9 @@ struct EngineProf {
     cell_samples: Vec<u64>,
     stride: u64,
     tick: u64,
-    last_sample: Option<std::time::Instant>,
+    /// The previous sample's instant and the cell of the event it was
+    /// taken for.
+    last_sample: Option<(std::time::Instant, usize)>,
 }
 
 impl EngineProf {
@@ -222,10 +225,10 @@ impl EngineProf {
         if self.tick >= self.stride {
             self.tick = 0;
             let now = std::time::Instant::now();
-            if let Some(prev) = self.last_sample.replace(now) {
+            if let Some((prev, prev_cell)) = self.last_sample.replace((now, cell)) {
                 let nanos = u64::try_from(now.duration_since(prev).as_nanos()).unwrap_or(u64::MAX);
-                self.cell_nanos[cell] = self.cell_nanos[cell].saturating_add(nanos);
-                self.cell_samples[cell] += 1;
+                self.cell_nanos[prev_cell] = self.cell_nanos[prev_cell].saturating_add(nanos);
+                self.cell_samples[prev_cell] += 1;
             }
         }
     }
@@ -790,6 +793,52 @@ mod tests {
         // 7 events at stride 2 sample at events 2, 4, 6; the first sample
         // only arms the anchor, so exactly 2 are charged — deterministic.
         assert_eq!(samples.iter().sum::<u64>(), 2);
+    }
+
+    /// Busy-waits ~1 ms per pong, then pings component 1.
+    struct Spinner {
+        rounds: u32,
+    }
+
+    impl Component<Msg> for Spinner {
+        fn on_event(&mut self, _now: SimTime, _msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+            let t0 = std::time::Instant::now();
+            while t0.elapsed() < std::time::Duration::from_millis(1) {
+                std::hint::spin_loop();
+            }
+            if self.rounds > 0 {
+                self.rounds -= 1;
+                ctx.schedule_in(
+                    SimDuration::from_millis(1),
+                    ComponentId::from_raw(1),
+                    Msg::Ping(0),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn profiling_charges_wall_time_to_the_handler_that_spent_it() {
+        let mut sim = Simulator::new(0);
+        let spinner = sim.add_component(Spinner { rounds: 20 });
+        sim.add_component(Ponger);
+        sim.set_event_classes(2);
+        sim.enable_profiling(vec![0, 1], 2, 2, 1);
+        sim.schedule(SimTime::ZERO, spinner, Msg::Pong(0));
+        sim.run_until_classified(SimTime::from_secs(1_000), |m| match m {
+            Msg::Ping(_) => 0,
+            Msg::Pong(_) => 1,
+        });
+        let (counts, nanos, _) = sim.profile_cells().unwrap();
+        // Spinner handles pongs → cell (class 0, kind 1); the empty Ponger
+        // handles pings → cell (class 1, kind 0).
+        assert_eq!(counts, &[0, 21, 20, 0]);
+        let total: u64 = nanos.iter().sum();
+        assert!(
+            nanos[1] > total / 10 * 9,
+            "spinning handler got {} of {total} ns",
+            nanos[1]
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! codec must never normalize, canonicalize, or round.
 //!
 //! Reads are total: a truncated or corrupt buffer yields a typed
-//! [`SnapError`], never a panic. Higher layers (the `ccsim-resume` crate)
+//! [`SnapError`], never a panic. Higher layers (`ccsim_core::checkpoint`)
 //! wrap these primitives in a versioned, digest-stamped container; this
 //! module knows nothing about files or versions.
 

@@ -31,4 +31,4 @@ pub use instantiate::{
     instantiate, plan_wiring, BuiltTopology, PlannedNextHop, RouterPlan, WiringPlan,
 };
 pub use router::Router;
-pub use topology::{LinkSpec, Topology, TopologyError, TopologyKind};
+pub use topology::{LinkSpec, Topology, TopologyError, TopologyKind, MAX_PARKING_LOT_HOPS};

@@ -63,18 +63,37 @@ impl TopologyKind {
     }
 
     /// Parse a canonical name (see [`TopologyKind::as_str`]).
-    pub fn parse(s: &str) -> Option<TopologyKind> {
-        match s {
-            "single" | "single_bottleneck" => Some(TopologyKind::SingleBottleneck),
-            "dumbbell" => Some(TopologyKind::Dumbbell),
-            "dumbbell_asym" => Some(TopologyKind::DumbbellAsym),
-            other => {
-                let n: u32 = other.strip_prefix("parking_lot:")?.parse().ok()?;
-                (n >= 1).then_some(TopologyKind::ParkingLot(n))
+    pub fn parse(s: &str) -> Result<TopologyKind, TopologyError> {
+        let kind = match s {
+            "single" | "single_bottleneck" => TopologyKind::SingleBottleneck,
+            "dumbbell" => TopologyKind::Dumbbell,
+            "dumbbell_asym" => TopologyKind::DumbbellAsym,
+            other => TopologyKind::ParkingLot(
+                other
+                    .strip_prefix("parking_lot:")
+                    .and_then(|n| n.parse().ok())
+                    .ok_or_else(|| TopologyError::UnknownKind(other.to_string()))?,
+            ),
+        };
+        kind.check()?;
+        Ok(kind)
+    }
+
+    /// Reject a shape too large (or degenerate) to generate. Runs before
+    /// [`Topology::generate`] allocates anything, so a hostile
+    /// `parking_lot:N` is an error value rather than an allocation abort.
+    pub fn check(self) -> Result<(), TopologyError> {
+        match self {
+            TopologyKind::ParkingLot(n) if !(1..=MAX_PARKING_LOT_HOPS).contains(&n) => {
+                Err(TopologyError::HopCount(n))
             }
+            _ => Ok(()),
         }
     }
 }
+
+/// The most chained bottlenecks a `parking_lot:N` topology may have.
+pub const MAX_PARKING_LOT_HOPS: u32 = 4096;
 
 impl fmt::Display for TopologyKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -117,6 +136,10 @@ pub enum TopologyError {
     /// per-flow route tables could not disambiguate the next hop.
     DuplicateHop(u32, u32),
     ZeroRate(u32),
+    /// A topology name no shape answers to.
+    UnknownKind(String),
+    /// `parking_lot:N` with `N` outside `1..=`[`MAX_PARKING_LOT_HOPS`].
+    HopCount(u32),
 }
 
 impl fmt::Display for TopologyError {
@@ -137,6 +160,11 @@ impl fmt::Display for TopologyError {
                 write!(f, "flow {flow} traverses link {idx} more than once")
             }
             TopologyError::ZeroRate(idx) => write!(f, "link {idx} has zero rate"),
+            TopologyError::UnknownKind(name) => write!(f, "unknown topology \"{name}\""),
+            TopologyError::HopCount(n) => write!(
+                f,
+                "parking_lot:{n} is out of range (1..={MAX_PARKING_LOT_HOPS} hops)"
+            ),
         }
     }
 }
@@ -413,8 +441,7 @@ impl Topology {
             .get("kind")
             .and_then(Json::as_str)
             .ok_or_else(|| bad("missing topology \"kind\""))?;
-        let kind = TopologyKind::parse(kind_str)
-            .ok_or_else(|| bad(format!("unknown topology kind \"{kind_str}\"")))?;
+        let kind = TopologyKind::parse(kind_str).map_err(|e| bad(e.to_string()))?;
         let nodes = doc
             .get("nodes")
             .and_then(Json::as_arr)
@@ -520,10 +547,21 @@ mod tests {
             TopologyKind::ParkingLot(17),
             TopologyKind::DumbbellAsym,
         ] {
-            assert_eq!(TopologyKind::parse(&kind.as_str()), Some(kind));
+            assert_eq!(TopologyKind::parse(&kind.as_str()), Ok(kind));
         }
-        assert_eq!(TopologyKind::parse("parking_lot:0"), None);
-        assert_eq!(TopologyKind::parse("ring"), None);
+        assert_eq!(
+            TopologyKind::parse("parking_lot:0"),
+            Err(TopologyError::HopCount(0))
+        );
+        assert_eq!(
+            TopologyKind::parse("parking_lot:4294967295"),
+            Err(TopologyError::HopCount(u32::MAX))
+        );
+        assert!(TopologyKind::parse(&format!("parking_lot:{MAX_PARKING_LOT_HOPS}")).is_ok());
+        assert_eq!(
+            TopologyKind::parse("ring"),
+            Err(TopologyError::UnknownKind("ring".into()))
+        );
     }
 
     #[test]

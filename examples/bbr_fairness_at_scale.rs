@@ -30,7 +30,7 @@ fn main() {
             .flows(vec![FlowGroup::new(CcaKind::Bbr, count, rtt)])
             .seed(1)
             .named("edge-bbr");
-        report("EdgeScale", count, &ccsim::experiments::run(&s));
+        report("EdgeScale", count, &s.run());
     }
 
     for &count in &[200u32, 500] {
@@ -40,7 +40,7 @@ fn main() {
             .named("core-bbr");
         // Keep the example snappy: a shorter horizon than the bench grid.
         s.duration = SimDuration::from_secs(15);
-        report("CoreScale", count, &ccsim::experiments::run(&s));
+        report("CoreScale", count, &s.run());
     }
 
     println!("\npast work reports JFI ~= 0.99 for BBR-only experiments with");

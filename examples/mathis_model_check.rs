@@ -32,7 +32,7 @@ fn main() {
         "running {flow_count} NewReno flows @ 20 ms on {}...\n",
         scenario.bottleneck
     );
-    let outcome = ccsim::experiments::run(&scenario);
+    let outcome = scenario.run();
 
     let thr: Vec<f64> = outcome.throughputs();
     println!(

@@ -27,7 +27,7 @@ fn main() {
         scenario.bottleneck,
         scenario.buffer_bytes / 1_000_000
     );
-    let outcome = ccsim::experiments::run(&scenario);
+    let outcome = scenario.run();
 
     println!(
         "\nper-flow throughput (measured over {}):",

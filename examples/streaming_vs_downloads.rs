@@ -17,7 +17,7 @@ use ccsim::sim::SimDuration;
 
 fn run(name: &str, flows: Vec<FlowGroup>) -> RunOutcome {
     let scenario = Scenario::edge_scale().flows(flows).seed(11).named(name);
-    ccsim::experiments::run(&scenario)
+    scenario.run()
 }
 
 fn main() {

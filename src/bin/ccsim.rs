@@ -69,6 +69,11 @@
 //! `replay` loads a crash bundle and re-runs its exact scenario (same
 //! seed, same fault plan), reporting whether the failure reproduces.
 //!
+//! Every run flag composes with every other (metrics, perf, timeline,
+//! serve, crash guard, checkpoint, resume), except where a flag would be
+//! ignored: `--resume-from` takes no `--flows` and no `trace`, and
+//! `--checkpoint-at` does not work with `trace`.
+//!
 //! Checkpoint/restore (`run` and `perf`): `--checkpoint-at <s>` captures
 //! a versioned, digest-stamped snapshot of the full engine state at the
 //! first snapshot-slice boundary at or after `<s>` simulated seconds and
@@ -102,9 +107,10 @@
 //! ```
 
 use ccsim::cca::CcaKind;
+use ccsim::experiments::crash::bundle_dir;
 use ccsim::experiments::{
-    run_guarded_with_progress, run_with_progress, CrashBundle, Fidelity, FlowGroup, GuardOptions,
-    LiveState, ObserveOptions, RunOutcome, Scenario, Timeline, TimelineConfig,
+    run, Checkpoint, CrashBundle, Fidelity, FlowGroup, GuardOptions, LiveState, ObserveOptions,
+    Progress, RunOptions, RunOutcome, Scenario, SimError, Timeline, TimelineConfig,
 };
 use ccsim::fault::{FaultPlan, WatchdogConfig};
 use ccsim::net::AqmKind;
@@ -113,6 +119,7 @@ use ccsim::telemetry::{validate_exposition, RunProgress};
 use ccsim::topo::TopologyKind;
 use ccsim::trace::{RetentionPolicy, TraceConfig};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const USAGE: &str = "usage: ccsim run [--setting edge|core] [--bw <mbps>] \
     [--buffer <bytes>] --flows <cca>:<count>:<rtt_ms> [--flows ...] \
@@ -333,7 +340,7 @@ fn parse_cli(args: &[String]) -> Cli {
             "--topology" => {
                 let name = take(&mut i);
                 scenario.topology = TopologyKind::parse(name)
-                    .unwrap_or_else(|| usage(&format!("bad --topology {name}")));
+                    .unwrap_or_else(|e| usage(&format!("bad --topology {name}: {e}")));
             }
             "--aqm" => {
                 let name = take(&mut i);
@@ -522,19 +529,10 @@ fn parse_cli(args: &[String]) -> Cli {
         i += 1;
     }
     if resume_from.is_some() {
-        // The checkpoint carries its own scenario; re-specifying one (or
-        // mixing in other run modes) would silently be ignored.
-        if !flows.is_empty() || tracing || perf || timeline_cmd {
-            usage("--resume-from runs the checkpoint's own scenario (plain run only; no --flows)");
-        }
-        if metrics_out.is_some()
-            || crash_dir.is_some()
-            || force_panic.is_some()
-            || checkpoint_at.is_some()
-            || timeline.is_some()
-            || serve_port.is_some()
-        {
-            usage("--resume-from cannot be combined with --metrics/--crash-dir/--force-panic/--checkpoint-at/--timeline/--serve");
+        // The checkpoint carries its own scenario; re-specifying one would
+        // silently be ignored.
+        if !flows.is_empty() || tracing {
+            usage("--resume-from runs the checkpoint's own scenario (no --flows, not with trace)");
         }
     } else {
         if flows.is_empty() {
@@ -558,19 +556,8 @@ fn parse_cli(args: &[String]) -> Cli {
             usage(&format!("invalid scenario: {e}"));
         }
     }
-    if metrics_out.is_some() && (crash_dir.is_some() || force_panic.is_some()) {
-        usage("--metrics cannot be combined with --crash-dir/--force-panic");
-    }
-    if perf && (crash_dir.is_some() || force_panic.is_some()) {
-        usage("perf cannot be combined with --crash-dir/--force-panic");
-    }
-    if (timeline.is_some() || serve_port.is_some())
-        && (crash_dir.is_some() || force_panic.is_some())
-    {
-        usage("--timeline/--serve cannot be combined with --crash-dir/--force-panic");
-    }
-    if checkpoint_at.is_some() && (tracing || crash_dir.is_some() || force_panic.is_some()) {
-        usage("--checkpoint-at works with run and perf only (not trace/--crash-dir/--force-panic)");
+    if checkpoint_at.is_some() && tracing {
+        usage("--checkpoint-at cannot be combined with trace (flight-recorder rings are not checkpointed)");
     }
     Cli {
         tracing,
@@ -1030,42 +1017,9 @@ fn campaign(args: &[String]) -> ! {
     }
 }
 
-/// The `run --resume-from` path: restore a checkpoint, run it out.
-fn resume_run(cli: &Cli, path: &Path) -> ! {
-    use ccsim::experiments::{scenario_from_checkpoint, try_resume_run_with_progress, Checkpoint};
-    let cp = Checkpoint::read_file(path)
-        .unwrap_or_else(|e| fail(format!("cannot load checkpoint {}: {e}", path.display())));
-    let scenario = scenario_from_checkpoint(&cp)
-        .unwrap_or_else(|e| fail(format!("bad checkpoint {}: {e}", path.display())));
-    eprintln!(
-        "resuming {} at t={} ({} snapshot bytes, state digest {:016x})...",
-        scenario.name,
-        SimTime::from_nanos(cp.taken_at_nanos),
-        cp.encoded_len(),
-        cp.state_digest(),
-    );
-    let mut progress = (!cli.quiet).then(|| RunProgress::new("resume"));
-    let outcome = try_resume_run_with_progress(&cp, |p| {
-        if let Some(prog) = &mut progress {
-            prog.update(p.fraction, p.events_processed);
-        }
-    })
-    .unwrap_or_else(|e| fail(format!("resume failed: {e}")));
-    if let Some(prog) = &mut progress {
-        prog.finish(outcome.events_processed);
-    }
-    if cli.json {
-        println!("{}", outcome.to_json());
-    } else {
-        print_human(&outcome);
-    }
-    eprintln!("outcome digest  : {:016x}", outcome.digest());
-    std::process::exit(0);
-}
-
 /// Report a captured checkpoint (or its absence) after a
 /// `--checkpoint-at` run.
-fn write_checkpoint(cp: &Option<ccsim::experiments::Checkpoint>, out: &Path, requested: SimTime) {
+fn write_checkpoint(cp: &Option<Checkpoint>, out: &Path, requested: SimTime) {
     match cp {
         Some(cp) => {
             cp.write_file(out).unwrap_or_else(|e| {
@@ -1189,13 +1143,20 @@ fn replay(args: &[String]) -> ! {
         bundle.error
     );
     let mut progress = (!quiet).then(|| RunProgress::new("replay"));
-    let result = ccsim::experiments::try_run_with_progress(&bundle.scenario, |p| {
+    let mut on_progress = |p: &Progress| {
         if let Some(prog) = &mut progress {
             prog.update(p.fraction, p.events_processed);
         }
-    });
-    match result {
-        Ok(outcome) => {
+    };
+    let opts = RunOptions {
+        progress: Some(&mut on_progress),
+        ..RunOptions::default()
+    };
+    match run(&bundle.scenario, opts) {
+        Ok(report) => {
+            let outcome = report
+                .outcome
+                .expect("a run without stop_at_checkpoint finishes");
             if let Some(prog) = &mut progress {
                 prog.finish(outcome.events_processed);
             }
@@ -1233,140 +1194,139 @@ fn main() {
         bisect(&args);
     }
     let cli = parse_cli(&args);
-    if let Some(path) = cli.resume_from.clone() {
-        resume_run(&cli, &path);
+    // `--resume-from` runs the checkpoint's own scenario.
+    let resume = cli.resume_from.as_ref().map(|path| {
+        let cp = Checkpoint::read_file(path)
+            .unwrap_or_else(|e| fail(format!("cannot load checkpoint {}: {e}", path.display())));
+        let scenario = cp
+            .scenario()
+            .unwrap_or_else(|e| fail(format!("bad checkpoint {}: {e}", path.display())));
+        eprintln!(
+            "resuming {} at t={} ({} snapshot bytes, state digest {:016x})...",
+            scenario.name,
+            SimTime::from_nanos(cp.taken_at_nanos),
+            cp.encoded_len(),
+            cp.state_digest(),
+        );
+        (cp, scenario)
+    });
+    let scenario = resume.as_ref().map_or(&cli.scenario, |(_, s)| s);
+    if resume.is_none() {
+        eprintln!(
+            "running {} flows on {} (buffer {:.2} MB, warmup {}, duration {})...",
+            scenario.flow_count(),
+            scenario.bottleneck,
+            scenario.buffer_bytes as f64 / 1e6,
+            scenario.warmup,
+            scenario.duration
+        );
     }
-    let scenario = &cli.scenario;
-
-    eprintln!(
-        "running {} flows on {} (buffer {:.2} MB, warmup {}, duration {})...",
-        scenario.flow_count(),
-        scenario.bottleneck,
-        scenario.buffer_bytes as f64 / 1e6,
-        scenario.warmup,
-        scenario.duration
-    );
-    let mut progress = (!cli.quiet).then(|| RunProgress::new("ccsim"));
-    let mut on_progress = |p: &ccsim::experiments::Progress| {
+    let label = if resume.is_some() { "resume" } else { "ccsim" };
+    let mut progress = (!cli.quiet).then(|| RunProgress::new(label));
+    let mut on_progress = |p: &Progress| {
         if let Some(prog) = &mut progress {
             prog.update(p.fraction, p.events_processed);
         }
     };
-
-    let mut perf_table = None;
-    let mut timeline_capture: Option<Timeline> = None;
-    let observed =
-        cli.perf || cli.metrics_out.is_some() || cli.timeline.is_some() || cli.serve_port.is_some();
-    let outcome = if observed {
-        let options = ObserveOptions {
+    // The endpoint binds before the run and serves the snapshots the run
+    // publishes; it never touches simulator state.
+    let live = cli.serve_port.map(|port| {
+        let state = Arc::new(LiveState::new());
+        let handle = ccsim::experiments::serve(port, Arc::clone(&state))
+            .unwrap_or_else(|e| fail(format!("cannot bind --serve port {port}: {e}")));
+        eprintln!(
+            "serving http://{0}/metrics and http://{0}/timeline.jsonl for the run",
+            handle.addr()
+        );
+        (state, handle)
+    });
+    let observed = cli.perf || cli.metrics_out.is_some() || cli.timeline.is_some();
+    let opts = RunOptions {
+        progress: Some(&mut on_progress),
+        observe: observed.then_some(ObserveOptions {
             profile: cli.perf,
             profile_stride: cli.stride,
             timeline: cli.timeline,
-        };
-        // The endpoint binds before the run and serves snapshots the
-        // progress hook publishes; it never touches simulator state.
-        let live = cli.serve_port.map(|port| {
-            let state = std::sync::Arc::new(LiveState::new());
-            let handle = ccsim::experiments::serve(port, std::sync::Arc::clone(&state))
-                .unwrap_or_else(|e| fail(format!("cannot bind --serve port {port}: {e}")));
-            eprintln!(
-                "serving http://{0}/metrics and http://{0}/timeline.jsonl for the run",
-                handle.addr()
-            );
-            (state, handle)
-        });
-        let (mut obs, cp) = ccsim::experiments::try_run_observed_live(
-            scenario,
-            options,
-            cli.checkpoint_at,
-            live.as_ref().map(|(state, _)| std::sync::Arc::clone(state)),
-            &mut on_progress,
-        )
-        .unwrap_or_else(|e| fail(format!("run failed: {e}")));
-        if let Some((state, handle)) = live {
-            eprintln!(
-                "live endpoint served {} request(s); shutting down",
-                state.hits()
-            );
-            handle.stop();
-        }
-        timeline_capture = obs.timeline.take();
-        if let Some(prog) = &mut progress {
-            prog.finish(obs.outcome.events_processed);
-        }
-        if let Some(at) = cli.checkpoint_at {
-            write_checkpoint(&cp, &cli.checkpoint_out, at);
-        }
-        if let Some(metrics_path) = &cli.metrics_out {
-            if let Err(e) = validate_exposition(&obs.prometheus) {
-                eprintln!("internal error: metrics dump failed validation: {e}");
-                std::process::exit(1);
-            }
-            let manifest_path = Path::new(metrics_path).with_extension("manifest.json");
-            let write = |path: &Path, contents: &str| {
-                std::fs::write(path, contents).unwrap_or_else(|e| {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    std::process::exit(1);
-                });
-            };
-            write(Path::new(metrics_path), &obs.prometheus);
-            write(&manifest_path, &obs.manifest.to_json());
-            eprintln!(
-                "wrote {metrics_path} ({} series) and {} (outcome digest {})",
-                obs.manifest.metric_series,
-                manifest_path.display(),
-                obs.manifest.outcome_digest
-            );
-        }
-        if cli.perf {
-            let profile = obs
-                .manifest
-                .profile
-                .as_ref()
-                .unwrap_or_else(|| fail("internal error: profiled run produced no profile"));
-            if let Some(path) = &cli.folded_out {
-                std::fs::write(path, profile.to_folded())
-                    .unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
-                eprintln!("wrote {path}");
-            }
-            perf_table = Some(profile.render_table());
-        }
-        obs.outcome
-    } else if cli.crash_dir.is_some() || cli.force_panic.is_some() {
-        let opts = GuardOptions {
+        }),
+        guard: GuardOptions {
             bundle_dir: cli.crash_dir.clone(),
             force_panic_at: cli.force_panic,
-        };
-        match run_guarded_with_progress(scenario, &opts, &mut on_progress) {
-            Ok(outcome) => {
-                if let Some(prog) = &mut progress {
-                    prog.finish(outcome.events_processed);
-                }
-                outcome
-            }
-            Err(failure) => {
-                eprintln!("\nrun failed: {failure}");
-                if let Some(e) = &failure.write_error {
-                    eprintln!("crash-bundle write failed: {e}");
-                }
-                if let Some(dir) = &failure.bundle {
-                    eprintln!("replay with: ccsim replay {}", dir.display());
-                }
-                std::process::exit(1);
-            }
-        }
-    } else if let Some(at) = cli.checkpoint_at {
-        let (outcome, cp) = ccsim::experiments::try_run_with_checkpoint(scenario, at)
-            .unwrap_or_else(|e| fail(format!("run failed: {e}")));
-        write_checkpoint(&cp, &cli.checkpoint_out, at);
-        outcome
-    } else {
-        let outcome = run_with_progress(scenario, &mut on_progress);
-        if let Some(prog) = &mut progress {
-            prog.finish(outcome.events_processed);
-        }
-        outcome
+        },
+        checkpoint_at: cli.checkpoint_at,
+        resume_from: resume.as_ref().map(|(cp, _)| cp),
+        live: live.as_ref().map(|(state, _)| Arc::clone(state)),
+        ..RunOptions::default()
     };
+    let result = run(scenario, opts);
+    if let Some((state, handle)) = live {
+        eprintln!(
+            "live endpoint served {} request(s); shutting down",
+            state.hits()
+        );
+        handle.stop();
+    }
+    let report = result.unwrap_or_else(|e| {
+        // A `Bundle` error means the write failed: there is nothing to replay.
+        let bundle = cli
+            .crash_dir
+            .as_ref()
+            .filter(|_| !matches!(e, SimError::Bundle { .. }));
+        match bundle.map(|base| bundle_dir(base, scenario)) {
+            Some(dir) => {
+                eprintln!("\nrun failed: {e} (crash bundle: {})", dir.display());
+                eprintln!("replay with: ccsim replay {}", dir.display());
+            }
+            None => eprintln!("\nrun failed: {e}"),
+        }
+        std::process::exit(1);
+    });
+    let outcome = report
+        .outcome
+        .expect("a run without stop_at_checkpoint finishes");
+    if let Some(prog) = &mut progress {
+        prog.finish(outcome.events_processed);
+    }
+    if let Some(at) = cli.checkpoint_at {
+        write_checkpoint(&report.checkpoint, &cli.checkpoint_out, at);
+    }
+    if let (Some(metrics_path), Some(prometheus), Some(manifest)) =
+        (&cli.metrics_out, &report.prometheus, &report.manifest)
+    {
+        if let Err(e) = validate_exposition(prometheus) {
+            eprintln!("internal error: metrics dump failed validation: {e}");
+            std::process::exit(1);
+        }
+        let manifest_path = Path::new(metrics_path).with_extension("manifest.json");
+        let write = |path: &Path, contents: &str| {
+            std::fs::write(path, contents).unwrap_or_else(|e| {
+                eprintln!("cannot write {}: {e}", path.display());
+                std::process::exit(1);
+            });
+        };
+        write(Path::new(metrics_path), prometheus);
+        write(&manifest_path, &manifest.to_json());
+        eprintln!(
+            "wrote {metrics_path} ({} series) and {} (outcome digest {})",
+            manifest.metric_series,
+            manifest_path.display(),
+            manifest.outcome_digest
+        );
+    }
+    let mut perf_table = None;
+    if cli.perf {
+        let profile = report
+            .manifest
+            .as_ref()
+            .and_then(|m| m.profile.as_ref())
+            .unwrap_or_else(|| fail("internal error: profiled run produced no profile"));
+        if let Some(path) = &cli.folded_out {
+            std::fs::write(path, profile.to_folded())
+                .unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
+            eprintln!("wrote {path}");
+        }
+        perf_table = Some(profile.render_table());
+    }
+    let timeline_capture = report.timeline;
 
     if cli.json {
         println!("{}", outcome.to_json());
@@ -1376,6 +1336,9 @@ fn main() {
     if let Some(table) = &perf_table {
         println!();
         print!("{table}");
+    }
+    if resume.is_some() {
+        eprintln!("outcome digest  : {:016x}", outcome.digest());
     }
     if let Some(tl) = &timeline_capture {
         if cli.timeline_cmd {

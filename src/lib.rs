@@ -26,11 +26,11 @@
 //! * [`prof`] — digest-inert event-attribution profiler: per-(component
 //!   class × event kind) wall-time/event matrix, timer-wheel internals,
 //!   and subsystem memory accounts (`ccsim perf`).
-//! * [`resume`] — versioned, digest-stamped checkpoint container with
-//!   typed decode errors; the engine-state snapshots behind
-//!   `ccsim run --checkpoint-at`/`--resume-from` and `ccsim bisect`.
-//! * [`experiments`] — the paper's EdgeScale/CoreScale scenarios and the
-//!   per-figure experiment functions.
+//! * [`experiments`] — the paper's EdgeScale/CoreScale scenarios, the
+//!   single run entry point (`run(&Scenario, RunOptions)`), checkpoints
+//!   (the versioned, digest-stamped container behind
+//!   `ccsim run --checkpoint-at`/`--resume-from` and `ccsim bisect`),
+//!   crash bundles, and the per-figure experiment functions.
 //! * [`campaign`] — parallel sweep executor, persistent run ledger,
 //!   regression sentinel (`campaign diff`), and fidelity reports.
 //!
@@ -57,7 +57,6 @@ pub use ccsim_core as experiments;
 pub use ccsim_fault as fault;
 pub use ccsim_net as net;
 pub use ccsim_prof as prof;
-pub use ccsim_resume as resume;
 pub use ccsim_sim as sim;
 pub use ccsim_tcp as tcp;
 pub use ccsim_telemetry as telemetry;

@@ -3,7 +3,7 @@
 //! rests on.
 
 use ccsim::cca::CcaKind;
-use ccsim::experiments::{run, FlowGroup, Scenario};
+use ccsim::experiments::{FlowGroup, Scenario};
 use ccsim::sim::{Bandwidth, SimDuration};
 
 fn scenario(seed: u64, cca: CcaKind) -> Scenario {
@@ -23,8 +23,8 @@ fn scenario(seed: u64, cca: CcaKind) -> Scenario {
 #[test]
 fn identical_seeds_give_bit_identical_outcomes() {
     for cca in [CcaKind::Reno, CcaKind::Cubic, CcaKind::Bbr] {
-        let a = run(&scenario(11, cca));
-        let b = run(&scenario(11, cca));
+        let a = Scenario::run(&scenario(11, cca));
+        let b = Scenario::run(&scenario(11, cca));
         assert_eq!(a.events_processed, b.events_processed, "{cca}");
         assert_eq!(a.throughputs(), b.throughputs(), "{cca}");
         assert_eq!(a.aggregate_loss_rate, b.aggregate_loss_rate, "{cca}");
@@ -37,8 +37,8 @@ fn identical_seeds_give_bit_identical_outcomes() {
 
 #[test]
 fn different_seeds_perturb_the_microstate() {
-    let a = run(&scenario(1, CcaKind::Reno));
-    let b = run(&scenario(2, CcaKind::Reno));
+    let a = Scenario::run(&scenario(1, CcaKind::Reno));
+    let b = Scenario::run(&scenario(2, CcaKind::Reno));
     // Different start jitter => different event interleavings.
     assert_ne!(a.events_processed, b.events_processed);
 }
@@ -46,7 +46,7 @@ fn different_seeds_perturb_the_microstate() {
 #[test]
 fn physical_aggregates_are_seed_insensitive() {
     let outcomes: Vec<_> = (1..=4)
-        .map(|seed| run(&scenario(seed, CcaKind::Reno)))
+        .map(|seed| Scenario::run(&scenario(seed, CcaKind::Reno)))
         .collect();
     let utils: Vec<f64> = outcomes.iter().map(|o| o.utilization()).collect();
     let spread =

@@ -6,7 +6,7 @@
 
 use ccsim::cca::CcaKind;
 use ccsim::experiments::{
-    run, run_guarded, try_run, CrashBundle, FlowGroup, GuardOptions, Scenario, SimError,
+    crash, run, CrashBundle, FlowGroup, GuardOptions, RunOptions, Scenario, SimError,
 };
 use ccsim::fault::{FaultPlan, WatchdogConfig};
 use ccsim::sim::{Bandwidth, SimDuration, SimTime};
@@ -38,9 +38,11 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// retransmission timeouts that the clean run does not have.
 #[test]
 fn blackout_forces_rtos() {
-    let clean = run(&small(3, CcaKind::Reno));
-    let faulted = run(&small(3, CcaKind::Reno)
-        .faulted(FaultPlan::none().blackout(SimTime::from_secs(6), SimDuration::from_secs(2))));
+    let clean = Scenario::run(&small(3, CcaKind::Reno));
+    let faulted = Scenario::run(
+        &small(3, CcaKind::Reno)
+            .faulted(FaultPlan::none().blackout(SimTime::from_secs(6), SimDuration::from_secs(2))),
+    );
     let clean_rtos: u64 = clean.flows.iter().map(|f| f.rtos).sum();
     let faulted_rtos: u64 = faulted.flows.iter().map(|f| f.rtos).sum();
     assert!(
@@ -61,10 +63,10 @@ fn blackout_forces_rtos() {
 /// higher p, lower rate) and show up in the aggregate loss rate.
 #[test]
 fn iid_loss_cuts_throughput_in_the_mathis_direction() {
-    let clean = run(&small(4, CcaKind::Reno));
-    let faulted =
-        run(&small(4, CcaKind::Reno)
-            .faulted(FaultPlan::none().iid_loss(SimTime::from_secs(1), 0.05)));
+    let clean = Scenario::run(&small(4, CcaKind::Reno));
+    let faulted = Scenario::run(
+        &small(4, CcaKind::Reno).faulted(FaultPlan::none().iid_loss(SimTime::from_secs(1), 0.05)),
+    );
     assert!(
         faulted.aggregate_loss_rate > 0.03,
         "injected 5% loss, measured {}",
@@ -86,8 +88,8 @@ fn faulted_runs_are_seed_deterministic() {
         .reorder(SimTime::from_secs(5), 0.1, SimDuration::from_millis(5))
         .duplicate(SimTime::from_secs(7), 0.05)
         .blackout(SimTime::from_secs(9), SimDuration::from_millis(500));
-    let a = run(&small(11, CcaKind::Cubic).faulted(plan.clone()));
-    let b = run(&small(11, CcaKind::Cubic).faulted(plan));
+    let a = Scenario::run(&small(11, CcaKind::Cubic).faulted(plan.clone()));
+    let b = Scenario::run(&small(11, CcaKind::Cubic).faulted(plan));
     assert_eq!(a.to_json(), b.to_json());
     assert_eq!(a.digest(), b.digest());
 }
@@ -98,13 +100,16 @@ fn faulted_runs_are_seed_deterministic() {
 fn watchdog_is_digest_inert() {
     for cca in [CcaKind::Reno, CcaKind::Cubic, CcaKind::Bbr] {
         let plan = FaultPlan::none().iid_loss(SimTime::from_secs(4), 0.01);
-        let plain = run(&small(42, cca).faulted(plan.clone()));
-        let watched = try_run(
+        let plain = Scenario::run(&small(42, cca).faulted(plan.clone()));
+        let watched = run(
             &small(42, cca)
                 .faulted(plan)
                 .watched(WatchdogConfig::every_slice()),
+            RunOptions::default(),
         )
-        .unwrap_or_else(|e| panic!("{cca}: watchdog tripped on a healthy run: {e}"));
+        .unwrap_or_else(|e| panic!("{cca}: watchdog tripped on a healthy run: {e}"))
+        .outcome
+        .unwrap();
         assert_eq!(plain.to_json(), watched.to_json(), "{cca}");
         assert_eq!(plain.digest(), watched.digest(), "{cca}");
     }
@@ -122,7 +127,7 @@ fn watchdog_stays_clean_under_faults() {
         let s = small(seed, cca)
             .faulted(plan.clone())
             .watched(WatchdogConfig::every_slice());
-        try_run(&s).unwrap_or_else(|e| panic!("{cca}: {e}"));
+        run(&s, RunOptions::default()).unwrap_or_else(|e| panic!("{cca}: {e}"));
     }
 }
 
@@ -134,13 +139,16 @@ fn forced_panic_round_trips_through_a_crash_bundle() {
     let base = temp_dir("bundle");
     let scenario =
         small(77, CcaKind::Reno).faulted(FaultPlan::none().iid_loss(SimTime::from_secs(3), 0.02));
-    let opts = GuardOptions {
-        bundle_dir: Some(base.clone()),
-        force_panic_at: Some(SimTime::from_secs(5)),
+    let opts = RunOptions {
+        guard: GuardOptions {
+            bundle_dir: Some(base.clone()),
+            force_panic_at: Some(SimTime::from_secs(5)),
+        },
+        ..RunOptions::default()
     };
-    let failure = run_guarded(&scenario, &opts).unwrap_err();
-    assert!(matches!(failure.error, SimError::Panic { .. }));
-    let dir = failure.bundle.expect("bundle written");
+    let error = run(&scenario, opts).unwrap_err();
+    assert!(matches!(error, SimError::Panic { .. }));
+    let dir = crash::bundle_dir(&base, &scenario);
 
     let bundle = CrashBundle::load(&dir).unwrap();
     assert_eq!(bundle.error_class, "panic");
@@ -154,7 +162,7 @@ fn forced_panic_round_trips_through_a_crash_bundle() {
     assert_eq!(a.to_json(), b.to_json());
     assert_eq!(a.digest(), b.digest());
     // And the replay matches a direct run of the original scenario.
-    let direct = run(&scenario);
+    let direct = Scenario::run(&scenario);
     assert_eq!(direct.digest(), a.digest());
     let _ = std::fs::remove_dir_all(&base);
 }
@@ -165,12 +173,12 @@ fn forced_panic_round_trips_through_a_crash_bundle() {
 fn scenario_and_engine_failures_stay_typed() {
     // Invalid scenario: typed ScenarioError, surfaced before building.
     let bad = Scenario::edge_scale().named("no-flows");
-    match try_run(&bad) {
+    match run(&bad, RunOptions::default()) {
         Err(SimError::Scenario(_)) => {}
         other => panic!("expected Scenario error, got {other:?}"),
     }
     // The panicking entry point still panics with the same message.
-    let caught = std::panic::catch_unwind(|| run(&bad)).unwrap_err();
+    let caught = std::panic::catch_unwind(|| Scenario::run(&bad)).unwrap_err();
     let msg = caught.downcast_ref::<String>().cloned().unwrap_or_default();
     assert!(msg.contains("no flows"), "panic message: {msg}");
 }

@@ -12,7 +12,7 @@
 use ccsim::campaign::{CampaignSpec, Ledger};
 use ccsim::cca::CcaKind;
 use ccsim::experiments::observe::scenario_digest;
-use ccsim::experiments::{run, BuiltNetwork, FlowGroup, Scenario, Tuning};
+use ccsim::experiments::{BuiltNetwork, FlowGroup, Scenario, Tuning};
 use ccsim::sim::{Bandwidth, SimDuration, SimTime};
 use ccsim::tcp::sender::Sender;
 use std::path::Path;
@@ -44,7 +44,7 @@ fn replay_baseline(name: &str, rerun: usize) {
         });
         assert_eq!(entry.job, job.name);
         if i < rerun {
-            let outcome = run(&job.scenario);
+            let outcome = Scenario::run(&job.scenario);
             assert_eq!(
                 format!("{:016x}", outcome.digest()),
                 entry.outcome_digest.clone().unwrap(),
@@ -144,8 +144,8 @@ fn slab_attachment_is_event_inert_at_10k_flows() {
 
 #[test]
 fn dense_runs_are_digest_deterministic() {
-    let a = run(&dense_scenario(9));
-    let b = run(&dense_scenario(9));
+    let a = Scenario::run(&dense_scenario(9));
+    let b = Scenario::run(&dense_scenario(9));
     assert_eq!(a.digest(), b.digest());
     assert_eq!(a.to_json(), b.to_json());
 }
@@ -162,8 +162,8 @@ fn batching_coalesces_events_without_distorting_the_physics() {
         delack_segments: 4,
         tx_burst: 8,
     });
-    let a = run(&legacy);
-    let b = run(&batched);
+    let a = Scenario::run(&legacy);
+    let b = Scenario::run(&batched);
     assert!(
         b.events_processed < a.events_processed,
         "batched {} !< legacy {}",

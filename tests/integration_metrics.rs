@@ -4,7 +4,7 @@
 //! internally consistent.
 
 use ccsim::cca::CcaKind;
-use ccsim::experiments::{run, run_observed, FlowGroup, Scenario};
+use ccsim::experiments::{run, FlowGroup, ObserveOptions, RunOptions, RunOutcome, Scenario};
 use ccsim::sim::{Bandwidth, SimDuration};
 use ccsim::telemetry::{validate_exposition, RunManifest};
 
@@ -22,6 +22,26 @@ fn scenario(seed: u64, cca: CcaKind) -> Scenario {
     s
 }
 
+/// The artifacts of an observed, finished run.
+struct Observed {
+    outcome: RunOutcome,
+    manifest: RunManifest,
+    prometheus: String,
+}
+
+fn run_observed(s: &Scenario) -> Observed {
+    let opts = RunOptions {
+        observe: Some(ObserveOptions::default()),
+        ..RunOptions::default()
+    };
+    let report = run(s, opts).expect("observed run");
+    Observed {
+        outcome: report.outcome.unwrap(),
+        manifest: report.manifest.unwrap(),
+        prometheus: report.prometheus.unwrap(),
+    }
+}
+
 /// The tentpole guarantee: attaching the full instrument set changes
 /// nothing about the simulation. Same (scenario, seed) with metrics on
 /// and off yields byte-identical outcome JSON and the same digest, for
@@ -29,7 +49,7 @@ fn scenario(seed: u64, cca: CcaKind) -> Scenario {
 #[test]
 fn metrics_on_and_off_produce_identical_outcomes() {
     for cca in [CcaKind::Reno, CcaKind::Cubic, CcaKind::Bbr] {
-        let plain = run(&scenario(42, cca));
+        let plain = Scenario::run(&scenario(42, cca));
         let observed = run_observed(&scenario(42, cca));
         assert_eq!(plain.to_json(), observed.outcome.to_json(), "{cca}");
         assert_eq!(plain.digest(), observed.outcome.digest(), "{cca}");

@@ -4,7 +4,7 @@
 
 use ccsim::campaign::{run_campaign, CampaignSpec, ExecutorOptions, LedgerEntry};
 use ccsim::cca::CcaKind;
-use ccsim::experiments::{try_run_observed_with, FlowGroup, ObserveOptions, Scenario};
+use ccsim::experiments::{run, FlowGroup, ObserveOptions, RunOptions, Scenario};
 use ccsim::sim::SimDuration;
 use ccsim::telemetry::RunManifest;
 use ccsim::topo::TopologyKind;
@@ -100,14 +100,19 @@ fn profiled_parking_lot_manifest_round_trips_with_bottlenecks() {
     scenario.start_jitter = SimDuration::from_millis(200);
     scenario.convergence = None;
 
-    let obs = try_run_observed_with(&scenario, ObserveOptions::profiled(), |_| {}).unwrap();
-    let manifest = &obs.manifest;
+    let opts = RunOptions {
+        observe: Some(ObserveOptions::profiled()),
+        ..RunOptions::default()
+    };
+    let report = run(&scenario, opts).unwrap();
+    let outcome = report.outcome.as_ref().unwrap();
+    let manifest = report.manifest.as_ref().unwrap();
     assert!(
         !manifest.bottlenecks.is_empty(),
         "parking_lot:3 must surface per-bottleneck metrics"
     );
-    assert_eq!(manifest.bottlenecks.len(), obs.outcome.bottlenecks.len());
-    for (m, o) in manifest.bottlenecks.iter().zip(&obs.outcome.bottlenecks) {
+    assert_eq!(manifest.bottlenecks.len(), outcome.bottlenecks.len());
+    for (m, o) in manifest.bottlenecks.iter().zip(&outcome.bottlenecks) {
         assert_eq!(m.link, o.link);
         assert_eq!(m.label, o.label);
         assert!(m.utilization > 0.0, "bottleneck {} unused", m.label);

@@ -4,7 +4,7 @@
 //! probe first).
 
 use ccsim::cca::CcaKind;
-use ccsim::experiments::{run, FlowGroup, Scenario};
+use ccsim::experiments::{FlowGroup, Scenario};
 use ccsim::sim::{Bandwidth, SimDuration};
 
 /// One flow on a slow link must saturate it (minus header overhead).
@@ -24,7 +24,7 @@ fn single_reno_flow_saturates_a_slow_link() {
     s.warmup = SimDuration::from_secs(2);
     s.duration = SimDuration::from_secs(8);
     s.convergence = None;
-    let o = run(&s);
+    let o = Scenario::run(&s);
     // Goodput ≥ 90% of line rate (headers cost ~3.5%, sawtooth the rest).
     assert!(o.utilization() > 0.90, "utilization = {}", o.utilization());
     assert!(o.utilization() <= 1.0 + 1e-9);
@@ -44,7 +44,7 @@ fn every_cca_survives_a_tiny_buffer() {
         s.warmup = SimDuration::from_secs(2);
         s.duration = SimDuration::from_secs(8);
         s.convergence = None;
-        let o = run(&s);
+        let o = Scenario::run(&s);
         assert!(
             o.utilization() > 0.5,
             "{cca}: utilization collapsed to {}",
@@ -78,7 +78,7 @@ fn receivers_deliver_contiguous_streams() {
     s.start_jitter = SimDuration::from_millis(200);
     s.duration = SimDuration::from_secs(6);
     s.convergence = None;
-    let o = run(&s);
+    let o = Scenario::run(&s);
     for f in &o.flows {
         // delivered_bytes is rcv_nxt-derived: strictly in-order data.
         assert!(f.delivered_bytes > 0);
@@ -103,8 +103,8 @@ fn bbr_keeps_queues_shorter_than_cubic() {
         s.convergence = None;
         s
     };
-    let cubic = run(&base(CcaKind::Cubic));
-    let bbr = run(&base(CcaKind::Bbr));
+    let cubic = Scenario::run(&base(CcaKind::Cubic));
+    let bbr = Scenario::run(&base(CcaKind::Bbr));
     assert!(
         (bbr.max_queue_bytes as f64) < 0.9 * cubic.max_queue_bytes as f64,
         "bbr queue {} vs cubic queue {}",
@@ -139,7 +139,7 @@ fn rtt_unfairness_for_loss_based_ccas() {
     // jittered starts and the short/long ratio hovers near the bar).
     s.duration = SimDuration::from_secs(30);
     s.convergence = None;
-    let o = run(&s);
+    let o = Scenario::run(&s);
     let short: f64 = o.flows[..3]
         .iter()
         .map(|f| f.throughput_bytes_per_sec)
@@ -170,7 +170,7 @@ fn congestion_events_are_window_scoped() {
     s.warmup = SimDuration::from_secs(3);
     s.duration = SimDuration::from_secs(10);
     s.convergence = None;
-    let o = run(&s);
+    let o = Scenario::run(&s);
     let events: u64 = o.flows.iter().map(|f| f.congestion_events).sum();
     assert!(events > 0);
     // Sanity: with a small buffer, a reno flow halves at most a few times

@@ -94,7 +94,7 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
 #[test]
 fn live_endpoint_serves_metrics_and_timeline_over_http() {
     use ccsim::cca::CcaKind;
-    use ccsim::experiments::{try_run_observed_live, FlowGroup, Scenario};
+    use ccsim::experiments::{run, FlowGroup, RunOptions, Scenario};
     use ccsim::sim::Bandwidth;
 
     let mut scenario = Scenario::edge_scale()
@@ -115,24 +115,26 @@ fn live_endpoint_serves_metrics_and_timeline_over_http() {
     let handle = serve(0, Arc::clone(&state)).expect("bind ephemeral port");
     let addr = handle.addr();
 
-    let (obs, _) = try_run_observed_live(
-        &scenario,
-        ObserveOptions::timelined(),
-        None,
-        Some(Arc::clone(&state)),
-        |_| {},
-    )
-    .expect("run succeeds");
+    let opts = RunOptions {
+        observe: Some(ObserveOptions::timelined()),
+        live: Some(Arc::clone(&state)),
+        ..RunOptions::default()
+    };
+    let report = run(&scenario, opts).expect("run succeeds");
 
     let (head, body) = http_get(addr, "/metrics");
     assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
     assert!(head.contains("text/plain; version=0.0.4"), "{head}");
-    assert_eq!(body, obs.prometheus, "final publish shows the full run");
+    assert_eq!(
+        Some(body),
+        report.prometheus,
+        "final publish shows the full run"
+    );
 
     let (head, body) = http_get(addr, "/timeline.jsonl");
     assert!(head.contains("application/x-ndjson"), "{head}");
     assert!(body.starts_with("{\"timeline\":"), "{body}");
-    let rows = obs.timeline.as_ref().expect("timeline captured").rows();
+    let rows = report.timeline.as_ref().expect("timeline captured").rows();
     assert_eq!(body.lines().count() as u64, 1 + rows.len() as u64);
 
     assert!(state.hits() >= 2);

@@ -10,7 +10,7 @@
 
 use ccsim::cca::CcaKind;
 use ccsim::experiments::observe::scenario_digest;
-use ccsim::experiments::{run, FlowGroup, Scenario};
+use ccsim::experiments::{FlowGroup, Scenario};
 use ccsim::net::AqmKind;
 use ccsim::sim::{Bandwidth, SimDuration};
 use ccsim::topo::TopologyKind;
@@ -49,8 +49,8 @@ fn single_bottleneck_droptail_is_byte_identical_to_the_legacy_wiring() {
     assert_eq!(scenario_digest(&implicit), scenario_digest(&explicit));
     assert_eq!(format!("{implicit:?}"), format!("{explicit:?}"));
 
-    let a = run(&implicit);
-    let b = run(&explicit);
+    let a = Scenario::run(&implicit);
+    let b = Scenario::run(&explicit);
     assert_eq!(a.digest(), b.digest());
     assert_eq!(a.to_json(), b.to_json());
 
@@ -67,8 +67,8 @@ fn single_bottleneck_droptail_is_byte_identical_to_the_legacy_wiring() {
 fn dumbbell_outcomes_are_digest_deterministic_across_seeds() {
     for seed in [1, 7, 42] {
         let s = base(seed).topology(TopologyKind::Dumbbell);
-        let a = run(&s);
-        let b = run(&s);
+        let a = Scenario::run(&s);
+        let b = Scenario::run(&s);
         assert_eq!(a.digest(), b.digest(), "seed {seed}");
         assert_eq!(a.to_json(), b.to_json(), "seed {seed}");
         // The access link is 4x the bottleneck, so the dumbbell still
@@ -81,15 +81,15 @@ fn dumbbell_outcomes_are_digest_deterministic_across_seeds() {
         assert!(bn.utilization > 0.8, "seed {seed}: {}", bn.utilization);
     }
     // Different seeds still perturb the microstate.
-    let a = run(&base(1).topology(TopologyKind::Dumbbell));
-    let b = run(&base(2).topology(TopologyKind::Dumbbell));
+    let a = Scenario::run(&base(1).topology(TopologyKind::Dumbbell));
+    let b = Scenario::run(&base(2).topology(TopologyKind::Dumbbell));
     assert_ne!(a.digest(), b.digest());
 }
 
 #[test]
 fn parking_lot_reports_per_bottleneck_utilization_and_jfi() {
     let s = base(5).topology(TopologyKind::ParkingLot(3));
-    let o = run(&s);
+    let o = Scenario::run(&s);
     assert_eq!(o.bottlenecks.len(), 3, "one record per bottleneck link");
     for (i, b) in o.bottlenecks.iter().enumerate() {
         assert_eq!(b.link, i as u32);
@@ -141,7 +141,7 @@ fn red_desynchronizes_drops_relative_to_droptail() {
         let total: f64 = seeds
             .iter()
             .map(|&seed| {
-                run(&traced(aqm, seed))
+                Scenario::run(&traced(aqm, seed))
                     .trace_synchronization_index(bin)
                     .expect("run has congestion events")
             })
@@ -159,7 +159,7 @@ fn red_desynchronizes_drops_relative_to_droptail() {
 #[test]
 fn ecn_marks_replace_drops_under_codel() {
     let s = base(9).aqm(AqmKind::Codel).ecn(true);
-    let o = run(&s);
+    let o = Scenario::run(&s);
     let marks: u64 = o.bottlenecks.iter().map(|b| b.ce_marked_pkts).sum();
     assert!(marks > 0, "CoDel with ECN should CE-mark");
     let losses: f64 = o.bottlenecks.iter().map(|b| b.loss_rate).sum();

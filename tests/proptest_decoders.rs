@@ -268,6 +268,7 @@ fn hostile() -> Vec<String> {
         preset(r#""warmup_s":1e10,"duration_s":1e10"#),
         preset(r#""bw_mbps":18446744073709551615"#),
         preset(r#""tx_burst":4294967297"#),
+        preset(r#""topology":"parking_lot:4294967295""#),
         preset(r#""convergence":false"#)
             .replace(r#""rtt_ms":20"#, r#""rtt_ms":18446744073709551615"#),
         preset(r#""convergence":false"#)

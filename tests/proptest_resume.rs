@@ -3,7 +3,7 @@
 //! container is exactly the thing a kill-mid-write tears, so every
 //! corruption class must come back as a `ResumeError` value.
 
-use ccsim::resume::{Checkpoint, ResumeError};
+use ccsim::experiments::{Checkpoint, ResumeError};
 use proptest::prelude::*;
 
 /// A deterministic pseudo-random checkpoint (xorshift body bytes).
